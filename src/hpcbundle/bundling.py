@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Protocol
 
-from .packing import PackingBin, Placement, ResourceRect, bounding_request
+from .packing import PackingBin, Placement, ResourceRect, bounding_request, waste_fraction
 
 
 class JobLike(Protocol):
@@ -101,8 +101,6 @@ class Bundle:
         return [job_id for job_id, _ in self.members]
 
     def waste_fraction(self) -> float:
-        from .packing import waste_fraction
-
         return waste_fraction([p for _, p in self.members])
 
 

@@ -80,8 +80,7 @@ class JobRecord:
     """Lifecycle state machine for one job.
 
     ``requested_minutes`` only ever doubles, so it stays an exact power of
-    two times ``original_minutes``.  ``true_runtime_minutes`` is simulation
-    ground truth carried for bookkeeping; scheduling logic never reads it.
+    two times ``original_minutes``.
     """
 
     job_id: str
@@ -90,7 +89,6 @@ class JobRecord:
     cores: int
     requested_minutes: int
     original_minutes: int
-    true_runtime_minutes: int
     state: JobState = JobState.PENDING
     bound_site: str | None = None
     attempts: int = 0
@@ -254,9 +252,6 @@ class CollectingSink:
     def deliver(self, envelope: ResultEnvelope) -> None:
         self.envelopes.append(envelope)
 
-    def by_status(self) -> Counter:
-        return Counter(e.status for e in self.envelopes)
-
 
 @dataclass
 class BundleReport:
@@ -298,14 +293,12 @@ class Dispatcher:
         sink: ResultsSink,
         retry_cap: int = 10,
         recorder: Callable[[int, str, str], None] | None = None,
-        command_for: Callable[[str], str] = default_command,
     ):
         self.registry = registry
         self.policy: BundlePolicy = registry.policy
         self.backend = backend
         self.sink = sink
         self.retry_cap = retry_cap
-        self.command_for = command_for
         self._recorder = recorder
         self.jobs: dict[str, JobRecord] = {}
         self.in_flight: dict[str, Bundle] = {}
@@ -332,7 +325,6 @@ class Dispatcher:
             cores=spec.cores,
             requested_minutes=spec.requested_minutes,
             original_minutes=spec.requested_minutes,
-            true_runtime_minutes=spec.true_runtime_minutes,
             ingested_at=now,
         )
         job.record(now, "ingested", f"{spec.cores}c x {spec.requested_minutes}m")
@@ -408,7 +400,7 @@ class Dispatcher:
 
     def _materials(self, bundle: Bundle) -> BundleMaterials:
         graph = step_graph(bundle.members)
-        commands = {job_id: self.command_for(job_id) for job_id, _ in bundle.members}
+        commands = {job_id: default_command(job_id) for job_id, _ in bundle.members}
         allotments = {job_id: p.rect.minutes for job_id, p in bundle.members}
         return BundleMaterials(
             bundle=bundle,

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .dispatcher import Dispatcher, JobState
 
@@ -156,10 +155,20 @@ class Summary:
 
 
 def _turnaround_stats(turnarounds: Sequence[int]) -> tuple[float, float]:
+    """Mean and 95th percentile, bit for bit as ``np.mean``/``np.percentile``.
+
+    The percentile is linear between the two order statistics around the
+    index ``(n - 1) * 0.95``, interpolated from whichever end is nearer.
+    """
     if not turnarounds:
         return 0.0, 0.0
-    arr = np.asarray(turnarounds, dtype=float)
-    return float(arr.mean()), float(np.percentile(arr, 95))
+    ordered = sorted(float(t) for t in turnarounds)
+    index = (len(ordered) - 1) * 0.95
+    lo = math.floor(index)
+    a, b = ordered[lo], ordered[min(lo + 1, len(ordered) - 1)]
+    t = index - lo
+    p95 = a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+    return math.fsum(ordered) / len(ordered), p95
 
 
 def summarize(dispatcher: Dispatcher) -> Summary:

@@ -60,13 +60,13 @@ class Placement:
     def top(self) -> int:
         return self.y + self.rect.minutes
 
-    def overlaps(self, other: "Placement") -> bool:
-        """True if the two placements share interior area."""
+    def overlaps(self, other: Placement | FreeRect) -> bool:
+        """True if the two rectangles share interior area."""
         return (
-            self.left < other.right
-            and other.left < self.right
-            and self.bottom < other.top
-            and other.bottom < self.top
+            other.x < self.right
+            and self.x < other.right
+            and other.y < self.top
+            and self.y < other.top
         )
 
 
@@ -96,14 +96,6 @@ class FreeRect:
             and other.y >= self.y
             and other.right <= self.right
             and other.top <= self.top
-        )
-
-    def overlaps_placement(self, p: Placement) -> bool:
-        return (
-            self.x < p.right
-            and p.left < self.right
-            and self.y < p.top
-            and p.bottom < self.top
         )
 
 
@@ -186,7 +178,7 @@ class PackingBin:
     def _split_free(self, placed: Placement) -> None:
         survivors: list[FreeRect] = []
         for fr in self._free:
-            if not fr.overlaps_placement(placed):
+            if not placed.overlaps(fr):
                 survivors.append(fr)
                 continue
             # Up to four residual strips around the placed rectangle.
@@ -210,12 +202,7 @@ class PackingBin:
         """Wasted fraction of the bounding request."""
         return waste_fraction(self.placements)
 
-    def render(
-        self,
-        row_minutes: int = 5,
-        labels: Sequence[str] | None = None,
-        full_height: bool = False,
-    ) -> str:
+    def render(self, row_minutes: int = 5, labels: Sequence[str] | None = None) -> str:
         """ASCII rendering of the bin, one column per core, origin at bottom-left.
 
         Each output row covers ``row_minutes`` minutes and shows the
@@ -227,7 +214,7 @@ class PackingBin:
             raise ValueError("row_minutes must be >= 1")
         if labels is None:
             labels = [_default_label(i) for i in range(len(self.placements))]
-        top = self.height if full_height or not self.placements else self.bounding()[1]
+        top = self.bounding()[1] if self.placements else self.height
         rows: list[str] = []
         for y0 in range(0, top, row_minutes):
             cells = []

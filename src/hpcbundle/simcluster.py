@@ -6,6 +6,13 @@ respects the packing-derived dependency graph, step and bundle kill
 rules with a grace period, fault injection, and accounting-file plus
 sentinel-file artifact generation.  Identical (seed, config, workload)
 inputs replay to byte-identical event logs.
+
+Every heap entry carries its own handler: ``Simulation.push(time,
+handler, *args)`` schedules the call ``handler(*args, time)`` at virtual
+minute ``time``.  Entries due at the same minute run in push order.
+Handlers are bound methods (``Simulation.on_arrival``, ``on_tick``,
+``on_notify`` and the ``SimCluster.on_*`` cluster events), looked up on
+the instance when the entry is pushed.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .bundling import Bundle, BundlePolicy, ExecutionSite, SiteRegistry
 from .dispatcher import (
@@ -42,15 +50,12 @@ STEP_OVERRUN = "STEP_OVERRUN"
 NODE_FAULT = "NODE_FAULT"
 GLOBAL_STALL = "GLOBAL_STALL"
 
-# Event kinds.  BUNDLE_START through NOTIFY model cluster activity; the
-# rest are loop plumbing (job arrivals, dispatcher timer ticks).
+# Event-log kinds written by the loop and the simulated cluster.
 EV_ARRIVAL = "ARRIVAL"
-EV_TICK = "TICK"
 EV_BUNDLE_START = "BUNDLE_START"
 EV_STEP_START = "STEP_START"
 EV_STEP_END = "STEP_END"
 EV_BUNDLE_END = "BUNDLE_END"
-EV_NOTIFY = "NOTIFY"
 
 TIMEOUT_EXIT_CODE = 124
 CANCEL_EXIT_CODE = 143
@@ -80,6 +85,9 @@ class QueueWait:
         if self.kind == "fixed":
             return self.low
         return rng.randint(self.low, self.high)
+
+
+_NO_WAIT = QueueWait()
 
 
 @dataclass(frozen=True)
@@ -117,7 +125,6 @@ class SimConfig:
     tick_minutes: int = 10
     horizon_minutes: int = 1_000_000
     queue_waits: dict[str, QueueWait] = field(default_factory=dict)
-    default_wait: QueueWait = QueueWait("fixed", 0)
     faults: tuple[FaultSpec, ...] = ()
 
     def __post_init__(self) -> None:
@@ -127,7 +134,7 @@ class SimConfig:
             raise ValueError("tick and horizon must be positive")
 
     def wait_for(self, site_id: str) -> QueueWait:
-        return self.queue_waits.get(site_id, self.default_wait)
+        return self.queue_waits.get(site_id, _NO_WAIT)
 
 
 @dataclass(frozen=True)
@@ -269,9 +276,9 @@ class SimCluster:
         wait = self.config.wait_for(site.site_id).sample(self._wait_rng(site.site_id))
         run = _BundleRun(handle, bundle, materials, now, wait)
         self.runs[handle] = run
-        self.sim.push_notify(now, handle, EVENT_ACCEPTED)
-        self.sim.push_notify(now, handle, EVENT_QUEUED)
-        self.sim.push(self.advance(site.site_id, now, wait), EV_BUNDLE_START, handle)
+        self.sim.push(now, self.sim.on_notify, handle, EVENT_ACCEPTED)
+        self.sim.push(now, self.sim.on_notify, handle, EVENT_QUEUED)
+        self.sim.push(self.advance(site.site_id, now, wait), self.on_bundle_start, handle)
         return handle
 
     def cancel(self, handle: str) -> BundleArtifacts | None:
@@ -286,10 +293,12 @@ class SimCluster:
 
     def on_bundle_start(self, handle: str, now: int) -> None:
         run = self.runs[handle]
+        if run.finalized:  # cancelled while it waited in the queue
+            return
         run.started_at = now
         self.sim.record(now, EV_BUNDLE_START,
                         f"{run.bundle.bundle_id} on {run.site_id} after {run.wait}m queue wait")
-        self.sim.push_notify(now, handle, EVENT_RUNNING)
+        self.sim.push(now, self.sim.on_notify, handle, EVENT_RUNNING)
         grace = self.config.grace_minutes
         durations: dict[str, int] = {}
         timed_out: dict[str, bool] = {}
@@ -308,10 +317,10 @@ class SimCluster:
                 timed_out=timed_out[job_id],
             )
             run.schedule[job_id] = sched
-            self.sim.push(sched.start, EV_STEP_START, (handle, job_id))
-            self.sim.push(sched.end, EV_STEP_END, (handle, job_id))
+            self.sim.push(sched.start, self.on_step_start, handle, job_id)
+            self.sim.push(sched.end, self.on_step_end, handle, job_id)
         kill_at = self.advance(site, now, run.bundle.request_minutes + grace)
-        self.sim.push(kill_at, EV_BUNDLE_END, handle)
+        self.sim.push(kill_at, self.on_bundle_end, handle)
 
     def on_step_start(self, handle: str, job_id: str, now: int) -> None:
         run = self.runs[handle]
@@ -385,7 +394,7 @@ class SimCluster:
                         f"{run.bundle.bundle_id} {'killed' if killed else 'complete'}")
         self.sim.materialize(run)
         if notify:
-            self.sim.push_notify(now, run.handle, EVENT_FINISHED)
+            self.sim.push(now, self.sim.on_notify, run.handle, EVENT_FINISHED)
 
 
 @dataclass
@@ -408,9 +417,9 @@ class SimReport:
 class Simulation:
     """Single-threaded event loop tying dispatcher and simulated cluster.
 
-    Virtual time advances through a heap of (minute, sequence) keyed
-    events; ties resolve by insertion order, so a run is a pure function
-    of its inputs.
+    Virtual time advances through a heap of (minute, sequence, handler,
+    args) entries; ties resolve by insertion order, so a run is a pure
+    function of its inputs.
     """
 
     def __init__(
@@ -420,14 +429,13 @@ class Simulation:
         policy: BundlePolicy,
         config: SimConfig,
         out_dir: str | Path | None = None,
-        retry_cap: int = 10,
     ):
         self.config = config
         self.workload = list(workload)
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.now = 0
         self.log: list[str] = []
-        self._heap: list[tuple[int, int, str, object]] = []
+        self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._true: dict[str, int] = {}
         seen_sites = {s.site_id for s in sites}
@@ -440,19 +448,15 @@ class Simulation:
         self.registry = SiteRegistry(sites, policy, derive_rng(config.seed, "bind"))
         self.sink = CollectingSink()
         self.backend = SimCluster(self, config)
-        self.dispatcher = Dispatcher(
-            self.registry, self.backend, self.sink,
-            retry_cap=retry_cap, recorder=self.record,
-        )
+        self.dispatcher = Dispatcher(self.registry, self.backend, self.sink,
+                                     recorder=self.record)
 
     # -- event queue -----------------------------------------------------
 
-    def push(self, time: int, kind: str, payload: object) -> None:
+    def push(self, time: int, handler: Callable[..., None], *args: object) -> None:
+        """Schedule ``handler(*args, time)`` at virtual minute ``time``."""
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, kind, payload))
-
-    def push_notify(self, time: int, handle: str, event_kind: str) -> None:
-        self.push(time, EV_NOTIFY, (handle, event_kind))
+        heapq.heappush(self._heap, (time, self._seq, handler, args))
 
     def record(self, now: int, kind: str, detail: str) -> None:
         self.log.append(f"{now:>8} {kind:<14} {detail}")
@@ -473,17 +477,17 @@ class Simulation:
 
     def run(self) -> SimReport:
         for spec in sorted(self.workload, key=lambda s: (s.arrival_minute, s.job_id)):
-            self.push(spec.arrival_minute, EV_ARRIVAL, spec)
+            self.push(spec.arrival_minute, self.on_arrival, spec)
         self._arrivals_remaining = len(self.workload)
-        self.push(self.config.tick_minutes, EV_TICK, None)
+        self.push(self.config.tick_minutes, self.on_tick)
         horizon_exhausted = False
         while self._heap:
-            time, _, kind, payload = heapq.heappop(self._heap)
+            time, _, handler, args = heapq.heappop(self._heap)
             if time > self.config.horizon_minutes:
                 horizon_exhausted = True
                 break
             self.now = time
-            self._handle(kind, payload)
+            handler(*args, time)
             if self._arrivals_remaining == 0 and self.dispatcher.all_terminal():
                 break
         live = self.dispatcher.live_count() + self._arrivals_remaining
@@ -500,33 +504,24 @@ class Simulation:
             backend=self.backend,
         )
 
-    def _handle(self, kind: str, payload: object) -> None:
-        if kind == EV_ARRIVAL:
-            self._arrivals_remaining -= 1
-            self.record(self.now, EV_ARRIVAL, payload.job_id)
-            self.dispatcher.ingest(payload, self.now)
-        elif kind == EV_TICK:
-            self.dispatcher.monitor(self.now)
-            self.dispatcher.flush(self.now)
-            if self._arrivals_remaining or not self.dispatcher.all_terminal():
-                self.push(self.now + self.config.tick_minutes, EV_TICK, None)
-        elif kind == EV_NOTIFY:
-            handle, event_kind = payload
-            run = self.backend.runs[handle]
-            if self.backend.suppressed(run.site_id, self.now):
-                self.record(self.now, "SUPPRESSED", f"{run.bundle.bundle_id} {event_kind}")
-                return
-            artifacts = run.artifacts if event_kind == EVENT_FINISHED else None
-            self.dispatcher.on_event(handle, event_kind, self.now, artifacts)
-        elif kind == EV_BUNDLE_START:
-            self.backend.on_bundle_start(payload, self.now)
-        elif kind == EV_STEP_START:
-            handle, job_id = payload
-            self.backend.on_step_start(handle, job_id, self.now)
-        elif kind == EV_STEP_END:
-            handle, job_id = payload
-            self.backend.on_step_end(handle, job_id, self.now)
-        elif kind == EV_BUNDLE_END:
-            self.backend.on_bundle_end(payload, self.now)
-        else:
-            raise ValueError(f"unknown event kind {kind!r}")
+    # -- loop events -----------------------------------------------------
+
+    def on_arrival(self, spec: JobSpec, now: int) -> None:
+        self._arrivals_remaining -= 1
+        self.record(now, EV_ARRIVAL, spec.job_id)
+        self.dispatcher.ingest(spec, now)
+
+    def on_tick(self, now: int) -> None:
+        self.dispatcher.monitor(now)
+        self.dispatcher.flush(now)
+        if self._arrivals_remaining or not self.dispatcher.all_terminal():
+            self.push(now + self.config.tick_minutes, self.on_tick)
+
+    def on_notify(self, handle: str, event_kind: str, now: int) -> None:
+        """Deliver a backend notification unless its site is stalled."""
+        run = self.backend.runs[handle]
+        if self.backend.suppressed(run.site_id, now):
+            self.record(now, "SUPPRESSED", f"{run.bundle.bundle_id} {event_kind}")
+            return
+        artifacts = run.artifacts if event_kind == EVENT_FINISHED else None
+        self.dispatcher.on_event(handle, event_kind, now, artifacts)

@@ -40,17 +40,13 @@ class StepGraph:
         return sorted(n for n in self.nodes if n not in dependents)
 
 
-def beneath_relation(
-    members: Sequence[tuple[str, Placement]],
-    require_overlap: bool = True,
-) -> Relation:
+def beneath_relation(members: Sequence[tuple[str, Placement]]) -> Relation:
     """Full geometric precedence over ``members``.
 
     ``(k, j)`` is included when k's top edge is at or below j's bottom
     edge and their open core intervals intersect.  Touching horizontal
     edges with core overlap do create a dependency; touching corners do
-    not.  With ``require_overlap=False`` vertical order alone suffices,
-    the stricter reading that serializes horizontally disjoint jobs too.
+    not.
     """
     relation: Relation = set()
     for k_id, k in members:
@@ -59,7 +55,7 @@ def beneath_relation(
                 continue
             if k.top > j.bottom:
                 continue
-            if require_overlap and not (k.left < j.right and j.left < k.right):
+            if not (k.left < j.right and j.left < k.right):
                 continue
             relation.add((k_id, j_id))
     return relation
@@ -101,12 +97,9 @@ def transitive_reduction(nodes: Iterable[str], relation: Relation) -> StepGraph:
     return StepGraph(nodes=node_list, edges=frozenset(edges))
 
 
-def step_graph(
-    members: Sequence[tuple[str, Placement]],
-    require_overlap: bool = True,
-) -> StepGraph:
+def step_graph(members: Sequence[tuple[str, Placement]]) -> StepGraph:
     """Convenience: full beneath relation then transitive reduction."""
-    relation = beneath_relation(members, require_overlap=require_overlap)
+    relation = beneath_relation(members)
     return transitive_reduction((job_id for job_id, _ in members), relation)
 
 

@@ -1,13 +1,22 @@
 """Metrics tables, summaries, and cross-run aggregation."""
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import hpcbundle
 from hpcbundle.bundling import BundlePolicy, ExecutionSite
 from hpcbundle.dispatcher import JobSpec
 from hpcbundle.metrics import (
     JOBS_COLUMNS,
     METRICS_COLUMNS,
     Summary,
+    _turnaround_stats,
     aggregate,
     jobs_csv_text,
     metrics_csv_text,
@@ -144,3 +153,31 @@ class TestAggregate:
     def test_requires_at_least_one_path(self):
         with pytest.raises(ValueError):
             aggregate([])
+
+
+class TestTurnaroundStats:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=300))
+    def test_matches_numpy_bit_for_bit(self, values):
+        mean, p95 = _turnaround_stats(values)
+        arr = np.asarray(values, dtype=float)
+        assert mean.hex() == float(np.mean(arr)).hex()
+        assert p95.hex() == float(np.percentile(arr, 95)).hex()
+
+
+def test_simulate_runs_without_numpy(tmp_path):
+    """The package needs no numpy: `simulate` works with the import blocked."""
+    data = Path(__file__).resolve().parent.parent / "demos" / "data"
+    code = ("import sys\nsys.modules['numpy'] = None\n"
+            "from hpcbundle.cli import main\nsys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(hpcbundle.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "simulate", "--seed", "5",
+         "--sites", str(data / "sites.txt"), "--workload", str(data / "workload.csv"),
+         "--policy", "min_jobs=3,min_fill=0.4,flush=40", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "metrics.csv").is_file()

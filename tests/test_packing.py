@@ -151,7 +151,7 @@ class TestFreeList:
         bin_ = PackingBin(6, 100)
         bin_.insert(ResourceRect(2, 30))
         for fr in bin_.free_list:
-            assert not any(fr.overlaps_placement(p) for p in bin_.placements)
+            assert not any(p.overlaps(fr) for p in bin_.placements)
         # Both maximal residuals must be present: right band and top band.
         assert FreeRect(2, 0, 4, 100) in bin_.free_list
         assert FreeRect(0, 30, 6, 70) in bin_.free_list

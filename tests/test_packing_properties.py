@@ -57,7 +57,7 @@ def test_free_list_soundness_after_every_insert(bin_dims, rects):
         for fr in free:
             assert fr.x >= 0 and fr.y >= 0
             assert fr.right <= width and fr.top <= height
-            assert not any(fr.overlaps_placement(p) for p in bin_.placements)
+            assert not any(p.overlaps(fr) for p in bin_.placements)
         for i, a in enumerate(free):
             for j, b in enumerate(free):
                 assert i == j or not a.contains(b)

@@ -329,6 +329,22 @@ class TestStallRecovery:
         assert report.sink.envelopes[0].elapsed_minutes == 10
 
 
+class TestCancelWhileQueued:
+    def test_cancelled_bundle_never_starts(self):
+        # Request 15 minutes (10 plus the 5-minute buffer), heartbeat bar
+        # 30, queue wait 45: every submission is cancelled at minute 40
+        # of its wait, so none may start when the wait runs out.
+        report = sim(
+            [job("a", req=10, true=10)],
+            policy=BundlePolicy(min_jobs=1, min_fill=0.0),
+            queue_waits={"S1": QueueWait("fixed", 45)},
+        ).run()
+        assert log_times(report, "CANCEL")
+        assert log_times(report, "BUNDLE_START") == []
+        assert log_times(report, "LATE_EVENT") == []
+        assert all(run.started_at is None for run in report.backend.runs.values())
+        assert report.dispatcher.all_terminal()
+
 class TestInjectedFaults:
     def test_node_fault_retried_without_doubling(self):
         s = sim(

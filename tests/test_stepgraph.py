@@ -48,10 +48,6 @@ class TestBeneathRelation:
         members = [member("K", 0, 0, 3, 10), member("J", 2, 10, 2, 10)]
         assert beneath_relation(members) == {("K", "J")}
 
-    def test_vertical_only_variant_serializes_disjoint_bands(self):
-        members = [member("K", 0, 0, 2, 10), member("J", 2, 10, 2, 10)]
-        assert beneath_relation(members, require_overlap=False) == {("K", "J")}
-
 
 class TestTransitiveReduction:
     def test_five_job_bundle_reduced_edges(self):
