@@ -30,9 +30,10 @@ def banner(title):
     print(f"\n=== {title} " + "=" * (60 - len(title)))
 
 
-def show_history(record):
-    for minute, kind, detail in record.history:
-        print(f"  [{minute:>4}] {kind:<16} {detail}")
+def show_job_lines(report, job_id):
+    for line in report.log:
+        if job_id in line:
+            print(" ", line)
 
 
 def main() -> None:
@@ -46,7 +47,7 @@ def main() -> None:
         config=SimConfig(seed=0, grace_minutes=5),
     )
     report = sim.run()
-    show_history(report.dispatcher.jobs["stubborn"])
+    show_job_lines(report, "stubborn")
     env = report.sink.envelopes[0]
     print(f"\n  -> {env.status} after {env.attempts} attempts, "
           f"{env.elapsed_minutes} true minutes")
@@ -61,7 +62,7 @@ def main() -> None:
         config=SimConfig(seed=0, faults=(FaultSpec("NODE_FAULT", "unlucky"),)),
     )
     report = sim.run()
-    show_history(report.dispatcher.jobs["unlucky"])
+    show_job_lines(report, "unlucky")
 
     banner("frozen cluster and heartbeat")
     print("two jobs share a bundle; the site freezes at minute 35.  A is")

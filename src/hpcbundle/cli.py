@@ -101,7 +101,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     lines.append(f"request: {cores} cores x {minutes} min "
                  f"(waste {bin_.waste_fraction():.4f})")
     lines.append("")
-    make_text = emit_make(graph, {job_id: default_command(job_id) for job_id, _ in members})
+    make_text = emit_make(graph, default_command)
     lines.append(make_text)
     labels = [job_id[0] if job_id else "?" for job_id, _ in members]
     lines.append(bin_.render(row_minutes=args.row_minutes, labels=labels))

@@ -49,6 +49,10 @@ class JobState(enum.Enum):
     COMPLETED = "completed"
     ERRORED = "errored"
 
+    # Members compare by identity, so the identity hash agrees with equality
+    # and spares every state-machine lookup the pure-Python Enum.__hash__.
+    __hash__ = object.__hash__
+
 
 TERMINAL_STATES = (JobState.COMPLETED, JobState.ERRORED)
 
@@ -97,18 +101,13 @@ class JobRecord:
     terminal_at: int | None = None
     timeout_count: int = 0
     rebind_count: int = 0
-    history: list[tuple[int, str, str]] = field(default_factory=list)
 
-    def record(self, now: int, transition: str, detail: str = "") -> None:
-        self.history.append((now, transition, detail))
-
-    def transition(self, new_state: JobState, now: int, detail: str = "") -> None:
+    def transition(self, new_state: JobState, now: int) -> None:
         if new_state not in _ALLOWED_TRANSITIONS[self.state]:
             raise ValueError(
                 f"{self.job_id}: illegal transition {self.state.value} -> {new_state.value}"
             )
         self.state = new_state
-        self.record(now, new_state.value, detail)
         if new_state in TERMINAL_STATES:
             self.terminal_at = now
 
@@ -126,7 +125,6 @@ class StepOutcome:
     status: str  # COMPLETED | TIMEOUT | NODE_FAULT | CANCELLED | FAILED
     elapsed_minutes: int
     exit_code: int
-    sentinel_present: bool
 
 
 OUTCOME_NODE_FAULT = "NODE_FAULT"
@@ -208,9 +206,12 @@ class BundleMaterials:
 
     bundle: Bundle
     graph: StepGraph
-    commands: dict[str, str]
     allotments: dict[str, int]  # buffered minutes per step
-    make_text: str
+
+    @property
+    def make_text(self) -> str:
+        """The bundle's make script, rendered on demand."""
+        return emit_make(self.graph, default_command)
 
 
 @dataclass(frozen=True)
@@ -264,7 +265,6 @@ class BundleReport:
     request_minutes: int
     waste_fraction: float
     submitted_at: int
-    finalized_at: int | None = None
     outcome_counts: Counter = field(default_factory=Counter)
     consumed_core_minutes: int = 0
 
@@ -327,7 +327,6 @@ class Dispatcher:
             original_minutes=spec.requested_minutes,
             ingested_at=now,
         )
-        job.record(now, "ingested", f"{spec.cores}c x {spec.requested_minutes}m")
         self.jobs[job.job_id] = job
         self.ingested += 1
         self.state_counts[job.state] += 1
@@ -342,7 +341,7 @@ class Dispatcher:
             self._error(job, now, "resource-error", "no compatible execution site")
             return
         job.bound_site = site.site_id
-        self._set_state(job, JobState.BOUND, now, site.site_id)
+        self._set_state(job, JobState.BOUND, now)
         self._record(now, "BIND", f"{job.job_id} -> {site.site_id}")
 
     # -- bundle formation and submission --------------------------------
@@ -368,7 +367,6 @@ class Dispatcher:
             site = self.registry.site(bundle.site_id)
             for job_id, _ in bundle.members:
                 self.registry.requeue_in_order(site, job_id)
-                self.jobs[job_id].record(now, "backend-rejected", str(exc))
             self._record(now, "REJECTED", f"{bundle.bundle_id} at {bundle.site_id}: {exc}")
             return None
         bundle.submitted_at = now
@@ -376,7 +374,7 @@ class Dispatcher:
         for job_id, _ in bundle.members:
             job = self.jobs[job_id]
             job.attempts += 1
-            self._set_state(job, JobState.BUNDLED, now, bundle.bundle_id)
+            self._set_state(job, JobState.BUNDLED, now)
         self.in_flight[handle] = bundle
         report = BundleReport(
             bundle_id=bundle.bundle_id,
@@ -399,15 +397,10 @@ class Dispatcher:
         return handle
 
     def _materials(self, bundle: Bundle) -> BundleMaterials:
-        graph = step_graph(bundle.members)
-        commands = {job_id: default_command(job_id) for job_id, _ in bundle.members}
-        allotments = {job_id: p.rect.minutes for job_id, p in bundle.members}
         return BundleMaterials(
             bundle=bundle,
-            graph=graph,
-            commands=commands,
-            allotments=allotments,
-            make_text=emit_make(graph, commands),
+            graph=step_graph(bundle.members),
+            allotments={job_id: p.rect.minutes for job_id, p in bundle.members},
         )
 
     # -- backend notifications ------------------------------------------
@@ -434,7 +427,7 @@ class Dispatcher:
             for job_id, _ in bundle.members:
                 job = self.jobs[job_id]
                 if job.state is JobState.BUNDLED:
-                    self._set_state(job, JobState.RUNNING, now, bundle.bundle_id)
+                    self._set_state(job, JobState.RUNNING, now)
         elif kind == EVENT_FINISHED:
             if artifacts is None:
                 raise ValueError(f"FINISHED event for {handle} carries no artifacts")
@@ -458,7 +451,6 @@ class Dispatcher:
             raise KeyError(f"unknown bundle handle {handle!r}")
         self.finalized.add(handle)
         report = self._reports_by_handle[handle]
-        report.finalized_at = now
 
         try:
             accounting = AccountingRecord.from_text(artifacts.accounting_text)
@@ -506,13 +498,12 @@ class Dispatcher:
             status=status,
             elapsed_minutes=elapsed,
             exit_code=code,
-            sentinel_present=sentinel,
         )
 
     def _apply_outcome(self, job: JobRecord, outcome: StepOutcome, now: int) -> None:
         if outcome.status == ACCT_COMPLETED:
             self._mark_running_if_needed(job, now)
-            self._set_state(job, JobState.COMPLETED, now, f"elapsed {outcome.elapsed_minutes}m")
+            self._set_state(job, JobState.COMPLETED, now)
             self.sink.deliver(
                 ResultEnvelope(
                     job_id=job.job_id,
@@ -529,14 +520,13 @@ class Dispatcher:
             self._mark_running_if_needed(job, now)
             self._error(job, now, "job-error", f"exit code {outcome.exit_code}")
         else:  # NODE_FAULT or CANCELLED: retry with the request unchanged
-            job.record(now, outcome.status.lower(), "retry with unchanged request")
             self._retry(job, now)
 
     def _mark_running_if_needed(self, job: JobRecord, now: int) -> None:
         # A stalled RUNNING notification may never have arrived; the
         # artifacts prove the step ran, so advance through RUNNING.
         if job.state is JobState.BUNDLED:
-            self._set_state(job, JobState.RUNNING, now, "inferred from artifacts")
+            self._set_state(job, JobState.RUNNING, now)
 
     # -- recovery paths --------------------------------------------------
 
@@ -546,7 +536,6 @@ class Dispatcher:
         self.timeout_total += 1
         previous = job.requested_minutes
         job.requested_minutes *= 2
-        job.record(now, "timeout-doubled", f"wallclock {previous} -> {job.requested_minutes}")
         self._record(now, "TIMEOUT", f"{job.job_id} wallclock {previous} -> {job.requested_minutes}")
         self._retry(job, now)
 
@@ -564,7 +553,6 @@ class Dispatcher:
             and site.accommodates(job.cores, job.requested_minutes, buffer)
         ):
             self.registry.enqueue(site, job.job_id)
-            job.record(now, "requeued", site.site_id)
             self._attempt_formation(site, now)
         else:
             self._rebind(job, now)
@@ -582,13 +570,12 @@ class Dispatcher:
         job.bound_site = site.site_id
         job.rebind_count += 1
         self.rebind_total += 1
-        job.record(now, "rebound", f"{previous} -> {site.site_id}")
         self._record(now, "REBIND", f"{job.job_id} {previous} -> {site.site_id}")
         self._attempt_formation(site, now)
 
     def _to_bound(self, job: JobRecord, now: int) -> None:
         if job.state is not JobState.BOUND:
-            self._set_state(job, JobState.BOUND, now, "retry")
+            self._set_state(job, JobState.BOUND, now)
 
     # -- heartbeat monitor ----------------------------------------------
 
@@ -637,15 +624,13 @@ class Dispatcher:
         drained = list(site.queue)
         site.queue.clear()
         for job_id in drained:
-            job = self.jobs[job_id]
-            job.record(now, "site-deactivated", site_id)
-            self._rebind(job, now)
+            self._rebind(self.jobs[job_id], now)
 
     # -- bookkeeping ------------------------------------------------------
 
     def _error(self, job: JobRecord, now: int, kind: str, detail: str) -> None:
         job.error_kind = kind
-        self._set_state(job, JobState.ERRORED, now, f"{kind}: {detail}")
+        self._set_state(job, JobState.ERRORED, now)
         self._record(now, "ERROR", f"{job.job_id} {kind}: {detail}")
         self.sink.deliver(
             ResultEnvelope(
@@ -658,9 +643,9 @@ class Dispatcher:
             )
         )
 
-    def _set_state(self, job: JobRecord, new_state: JobState, now: int, detail: str) -> None:
+    def _set_state(self, job: JobRecord, new_state: JobState, now: int) -> None:
         self.state_counts[job.state] -= 1
-        job.transition(new_state, now, detail)
+        job.transition(new_state, now)
         self.state_counts[new_state] += 1
 
     def _record(self, now: int, kind: str, detail: str) -> None:

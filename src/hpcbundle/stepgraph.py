@@ -11,7 +11,7 @@ job.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .packing import Placement
 
@@ -103,22 +103,14 @@ def step_graph(members: Sequence[tuple[str, Placement]]) -> StepGraph:
     return transitive_reduction((job_id for job_id, _ in members), relation)
 
 
-def emit_make(graph: StepGraph, commands: Mapping[str, str] | Callable[[str], str]) -> str:
+def emit_make(graph: StepGraph, command_for: Callable[[str], str]) -> str:
     """Render ``graph`` as a make script.
 
     One phony target per job, prerequisites from the reduced edges, recipe
-    from ``commands``; an ``all`` target depends on every job.  Output is
-    byte-identical for identical input: nodes and prerequisite lists are
-    sorted.
+    from ``command_for(job_id)``; an ``all`` target depends on every job.
+    Output is byte-identical for identical input: nodes and prerequisite
+    lists are sorted.
     """
-    def command_for(node: str) -> str:
-        if callable(commands):
-            return commands(node)
-        try:
-            return commands[node]
-        except KeyError:
-            raise ValueError(f"no command defined for job {node!r}") from None
-
     nodes = sorted(graph.nodes)
     lines = [
         ".PHONY: " + " ".join(["all"] + nodes),

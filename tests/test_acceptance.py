@@ -169,17 +169,16 @@ def test_criterion_05_timeout_doubling_with_rebind():
     assert job.state is JobState.COMPLETED
     assert job.timeout_count == 3
     assert job.doublings == 3
-    doubled = [d for _, k, d in job.history if k == "timeout-doubled"]
-    assert doubled == [
-        "wallclock 30 -> 60", "wallclock 60 -> 120", "wallclock 120 -> 240"
+    # Match the kind column exactly: STEP_END details also say TIMEOUT.
+    entries = [line.split(None, 2) for line in report.log]
+    doublings = [(int(t), d) for t, k, d in entries if k == "TIMEOUT"]
+    assert [d for _, d in doublings] == [
+        "J wallclock 30 -> 60", "J wallclock 60 -> 120", "J wallclock 120 -> 240"
     ]
-    rebinds = [d for _, k, d in job.history if k == "rebound"]
-    assert rebinds == ["S100 -> S300"]
+    rebinds = [(int(t), d) for t, k, d in entries if k == "REBIND"]
+    assert [d for _, d in rebinds] == ["J S100 -> S300"]
     # The rebind happens at the 60 -> 120 doubling (125 no longer fits 100).
-    second_doubling_at = [t for t, k, d in job.history
-                          if k == "timeout-doubled" and d == "wallclock 60 -> 120"][0]
-    rebound_at = [t for t, k, _ in job.history if k == "rebound"][0]
-    assert rebound_at == second_doubling_at
+    assert rebinds[0][0] == doublings[1][0]
     assert job.attempts == 4
     [env] = report.sink.envelopes
     assert env.status == "completed"

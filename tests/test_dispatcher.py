@@ -210,7 +210,7 @@ class TestFaultOutcomes:
         assert job.doublings == 0
         assert job.attempts == 2  # resubmitted
         assert job.state is JobState.BUNDLED
-        assert any(kind == "node_fault" for _, kind, _ in job.history)
+        assert dispatcher.bundle_reports[0].outcome_counts == {"NODE_FAULT": 1}
 
     def test_failed_with_sentinel_is_genuine_job_error(self):
         dispatcher, backend, sink = build()
@@ -410,23 +410,6 @@ class TestConservation:
                 dispatcher.on_event(handle, "FINISHED", now=50, artifacts=arts)
                 assert dispatcher.conservation_ok()
         assert dispatcher.terminal_count() + dispatcher.live_count() == 6
-
-
-class TestHistory:
-    def test_history_is_append_only_and_ordered(self):
-        dispatcher, backend, _ = build()
-        job = dispatcher.ingest(spec(minutes=30), now=0)
-        handle, bundle, _ = backend.last
-        dispatcher.on_event(handle, "RUNNING", now=3)
-        arts = artifacts_for(bundle, {"j": "TIMEOUT"})
-        dispatcher.on_event(handle, "FINISHED", now=40, artifacts=arts)
-        times = [t for t, _, _ in job.history]
-        assert times == sorted(times)
-        transitions = [kind for _, kind, _ in job.history]
-        assert transitions[0] == "ingested"
-        assert "timeout-doubled" in transitions
-        doubled = next(d for _, k, d in job.history if k == "timeout-doubled")
-        assert doubled == "wallclock 30 -> 60"
 
 
 class TestAccountingFormat:

@@ -414,6 +414,8 @@ class TestDeterminism:
         second = self.build(seed=42).run()
         assert first.event_log_text == second.event_log_text
         assert first.event_log_text.endswith("\n")
+        minutes = [int(line.split(None, 1)[0]) for line in first.log]
+        assert minutes == sorted(minutes)
 
     def test_different_seed_diverges(self):
         first = self.build(seed=1).run()
