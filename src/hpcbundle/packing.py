@@ -12,7 +12,7 @@ moved after placement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -87,9 +87,6 @@ class FreeRect:
     def top(self) -> int:
         return self.y + self.height
 
-    def fits(self, rect: ResourceRect) -> bool:
-        return rect.cores <= self.width and rect.minutes <= self.height
-
     def contains(self, other: "FreeRect") -> bool:
         return (
             other.x >= self.x
@@ -125,7 +122,8 @@ class PackingBin:
     placements never move.  The free list always holds exactly the maximal
     empty rectangles of the uncovered region, which is what makes the
     corner-only candidate scan in :meth:`insert` equivalent to an
-    exhaustive position search.
+    exhaustive position search.  Internally each free rectangle is an
+    ``(x, y, right, top)`` tuple of ints.
     """
 
     def __init__(self, width: int, height: int):
@@ -136,63 +134,93 @@ class PackingBin:
         self.width = width
         self.height = height
         self.placements: list[Placement] = []
-        self._free: list[FreeRect] = [FreeRect(0, 0, width, height)]
+        self._free: list[tuple[int, int, int, int]] = [(0, 0, width, height)]
+        self._used = 0
 
     @property
     def free_list(self) -> list[FreeRect]:
-        """Current maximal free rectangles (copy; internal list is private)."""
-        return list(self._free)
+        """Current maximal free rectangles (copies; internal list is private)."""
+        return [FreeRect(x, y, r - x, t - y) for x, y, r, t in self._free]
 
     @property
     def area(self) -> int:
         return self.width * self.height
 
     def used_area(self) -> int:
-        return sum(p.rect.area for p in self.placements)
+        return self._used
 
     def insert(self, rect: ResourceRect) -> Placement | None:
         """Place ``rect`` at the bottom-left-most feasible position.
 
         Candidates are the bottom-left corners of free rectangles that can
         hold ``rect``; the winner minimizes the resulting top edge, then
-        the left edge, then the free-list index.  Returns ``None`` when no
-        position exists (the bin is left untouched) -- a full bin is a
+        the left edge, then the free-list position.  Returns ``None`` when
+        no position exists (the bin is left untouched) -- a full bin is a
         normal outcome, not an error.
         """
-        best: tuple[int, int, int] | None = None
-        for idx, fr in enumerate(self._free):
-            if not fr.fits(rect):
-                continue
-            key = (fr.y + rect.minutes, fr.x, idx)
-            if best is None or key < best:
-                best = key
+        w, h = rect.cores, rect.minutes
+        # Every free corner has x < width, so y * width + x orders the
+        # candidates by (y, x), which is (top edge, left edge) for one rect.
+        width = self.width
+        best = None
+        best_key = self.height * width
+        for fr in self._free:
+            x, y, r, t = fr
+            if r - x >= w and t - y >= h and y * width + x < best_key:
+                best, best_key = fr, y * width + x
         if best is None:
             return None
 
-        chosen = self._free[best[2]]
-        placement = Placement(chosen.x, chosen.y, rect)
-        self._split_free(placement)
+        x, y = best[0], best[1]
+        self._split_free(x, y, x + w, y + h)
+        placement = Placement(x, y, rect)
         self.placements.append(placement)
+        self._used += w * h
         return placement
 
-    def _split_free(self, placed: Placement) -> None:
-        survivors: list[FreeRect] = []
+    def _split_free(self, px: int, py: int, pr: int, pt: int) -> None:
+        """Cut the placed rectangle ``(px, py, pr, pt)`` out of the free list.
+
+        Free rectangles it misses survive as they are and stay maximal.
+        Each one it overlaps gives up to four strips around it.  Only the
+        strips need pruning: a survivor cannot lie inside a strip, since
+        the strip's parent overlaps the placement and the list before the
+        cut held no nested rectangles.  A survivor that contains a strip meets the
+        placement's edge line the strip lies on, or it would overlap the
+        placement, so strips are checked only against those survivors.
+        """
+        survivors: list[tuple[int, int, int, int]] = []
+        strips: list[tuple[int, int, int, int]] = []
         for fr in self._free:
-            if not placed.overlaps(fr):
+            x, y, r, t = fr
+            if x >= pr or px >= r or y >= pt or py >= t:
                 survivors.append(fr)
                 continue
-            # Up to four residual strips around the placed rectangle.
-            if placed.left > fr.x:
-                survivors.append(FreeRect(fr.x, fr.y, placed.left - fr.x, fr.height))
-            if placed.right < fr.right:
-                survivors.append(
-                    FreeRect(placed.right, fr.y, fr.right - placed.right, fr.height)
-                )
-            if placed.bottom > fr.y:
-                survivors.append(FreeRect(fr.x, fr.y, fr.width, placed.bottom - fr.y))
-            if placed.top < fr.top:
-                survivors.append(FreeRect(fr.x, placed.top, fr.width, fr.top - placed.top))
-        self._free = _prune_to_maximal(survivors)
+            if px > x:
+                strips.append((x, y, px, t))
+            if pr < r:
+                strips.append((pr, y, r, t))
+            if py > y:
+                strips.append((x, y, r, py))
+            if pt < t:
+                strips.append((x, pt, r, t))
+
+        # Strips among themselves: drop nested ones, keep one of equal ones.
+        kept: list[tuple[int, int, int, int]] = []
+        for s in strips:
+            x, y, r, t = s
+            if any(kx <= x and ky <= y and r <= kr and t <= kt for kx, ky, kr, kt in kept):
+                continue
+            kept = [k for k in kept if not (x <= k[0] and y <= k[1] and k[2] <= r and k[3] <= t)]
+            kept.append(s)
+
+        edge = [fr for fr in survivors
+                if fr[2] == px or fr[0] == pr or fr[3] == py or fr[1] == pt]
+        for s in kept:
+            x, y, r, t = s
+            if not any(ex <= x and ey <= y and r <= er and t <= et for ex, ey, er, et in edge):
+                survivors.append(s)
+        self._free = survivors
 
     def bounding(self) -> tuple[int, int]:
         """Bounding (cores, minutes) request for the current contents."""
@@ -234,16 +262,3 @@ class PackingBin:
 def _default_label(index: int) -> str:
     alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
     return alphabet[index] if index < len(alphabet) else "#"
-
-
-def _prune_to_maximal(rects: Iterable[FreeRect]) -> list[FreeRect]:
-    """Drop free rects contained in another; exact duplicates keep one copy."""
-    kept: list[FreeRect] = []
-    for fr in rects:
-        if fr.width <= 0 or fr.height <= 0:
-            continue
-        if any(other.contains(fr) for other in kept):
-            continue
-        kept = [other for other in kept if not fr.contains(other)]
-        kept.append(fr)
-    return kept

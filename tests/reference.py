@@ -4,11 +4,18 @@ The packing oracle is a brute-force bottom-left packer over an explicit
 occupancy grid: it enumerates every integer position, keeps the feasible
 ones, and picks the minimizer of (top edge, left edge).  It shares no
 code with the production packer.
+
+The free-list oracle is the straightforward MaxRects bookkeeping: split
+every free rectangle the placement overlaps, then prune the whole list
+to its maximal members.  The production packer prunes only the new
+strips; both must hold the same set of free rectangles.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from hpcbundle.packing import FreeRect, Placement, ResourceRect
 
 
 class OracleBin:
@@ -43,6 +50,63 @@ class OracleBin:
         self.grid[y:y + h, x:x + w] = True
         self.placements.append((x, y, w, h))
         return x, y
+
+
+class FreeListOracle:
+    """MaxRects bin with a global prune after every split."""
+
+    def __init__(self, width: int, height: int):
+        self.width = width
+        self.height = height
+        self.placements: list[Placement] = []
+        self.free: list[FreeRect] = [FreeRect(0, 0, width, height)]
+
+    def insert(self, rect: ResourceRect) -> Placement | None:
+        best: tuple[int, int, int] | None = None
+        for idx, fr in enumerate(self.free):
+            if rect.cores > fr.width or rect.minutes > fr.height:
+                continue
+            key = (fr.y + rect.minutes, fr.x, idx)
+            if best is None or key < best:
+                best = key
+        if best is None:
+            return None
+        chosen = self.free[best[2]]
+        placement = Placement(chosen.x, chosen.y, rect)
+        self._split_free(placement)
+        self.placements.append(placement)
+        return placement
+
+    def _split_free(self, placed: Placement) -> None:
+        survivors: list[FreeRect] = []
+        for fr in self.free:
+            if not placed.overlaps(fr):
+                survivors.append(fr)
+                continue
+            if placed.left > fr.x:
+                survivors.append(FreeRect(fr.x, fr.y, placed.left - fr.x, fr.height))
+            if placed.right < fr.right:
+                survivors.append(
+                    FreeRect(placed.right, fr.y, fr.right - placed.right, fr.height)
+                )
+            if placed.bottom > fr.y:
+                survivors.append(FreeRect(fr.x, fr.y, fr.width, placed.bottom - fr.y))
+            if placed.top < fr.top:
+                survivors.append(FreeRect(fr.x, placed.top, fr.width, fr.top - placed.top))
+        self.free = prune_to_maximal(survivors)
+
+
+def prune_to_maximal(rects: list[FreeRect]) -> list[FreeRect]:
+    """Drop free rects contained in another; exact duplicates keep one copy."""
+    kept: list[FreeRect] = []
+    for fr in rects:
+        if fr.width <= 0 or fr.height <= 0:
+            continue
+        if any(other.contains(fr) for other in kept):
+            continue
+        kept = [other for other in kept if not fr.contains(other)]
+        kept.append(fr)
+    return kept
 
 
 def core_usage_profile(

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from hpcbundle.packing import PackingBin, ResourceRect
 
-from reference import OracleBin
+from reference import FreeListOracle, OracleBin
 
 bins = st.tuples(st.integers(1, 8), st.integers(1, 60))
 rect_lists = st.lists(
@@ -96,3 +96,34 @@ def test_order_preservation(bin_dims, rects):
         if p is not None:
             seen.append((p.x, p.y))
         assert [(q.x, q.y) for q in bin_.placements] == seen
+
+
+@st.composite
+def wide_bins_and_rects(draw):
+    """Bins up to 64x2880 and up to 60 rects, often small, so free lists grow long."""
+    width = draw(st.just(64) | st.integers(1, 64))
+    height = draw(st.just(2880) | st.integers(1, 2880))
+    scale = draw(st.sampled_from((1, 4, 8, 16)))
+    count = draw(st.just(60) | st.integers(1, 60))
+    # Hypothesis favours small and repeated values; a seeded generator
+    # spreads the shapes, which is what makes free lists grow.
+    rnd = draw(st.randoms(use_true_random=False))
+    rects = [(rnd.randint(1, max(1, width // scale)), rnd.randint(1, max(1, height // scale)))
+             for _ in range(count)]
+    return (width, height), rects
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_bins_and_rects())
+def test_free_list_matches_global_prune_oracle(case):
+    (width, height), rects = case
+    bin_ = PackingBin(width, height)
+    oracle = FreeListOracle(width, height)
+    for cores, minutes in rects:
+        rect = ResourceRect(cores, minutes)
+        assert bin_.insert(rect) == oracle.insert(rect)
+        free = bin_.free_list
+        assert len(set(free)) == len(free)
+        assert set(free) == set(oracle.free)
+        assert bin_.placements == oracle.placements
+        assert bin_.used_area() == sum(p.rect.area for p in bin_.placements)
