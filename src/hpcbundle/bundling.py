@@ -11,6 +11,7 @@ interval so small queues are never stranded.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Protocol
 
@@ -61,7 +62,6 @@ class ExecutionSite:
     site_id: str
     cores_per_node: int
     max_walltime_minutes: int
-    node_sharing: bool = False
     active: bool = True
     queue: list[str] = field(default_factory=list)
     last_attempt_at: int = 0
@@ -85,7 +85,9 @@ class Bundle:
     """An ordered set of packed jobs submitted to the backend as one job.
 
     Placement heights include the timeout buffer; the request is the
-    bounding rectangle of the placements, anchored at the origin.
+    bounding rectangle of the placements, anchored at the origin.  Once
+    submitted, the dispatcher keeps the heartbeat clock and the member
+    outcome tallies here.
     """
 
     bundle_id: str
@@ -93,12 +95,21 @@ class Bundle:
     members: list[tuple[str, Placement]]
     request_cores: int
     request_minutes: int
-    submitted_at: int = 0
     last_event_at: int = 0
+    outcome_counts: Counter = field(default_factory=Counter)
+    consumed_core_minutes: int = 0
 
     @property
     def job_ids(self) -> list[str]:
         return [job_id for job_id, _ in self.members]
+
+    @property
+    def n_jobs(self) -> int:
+        return len(self.members)
+
+    @property
+    def requested_core_minutes(self) -> int:
+        return self.request_cores * self.request_minutes
 
     def waste_fraction(self) -> float:
         return waste_fraction([p for _, p in self.members])
@@ -220,8 +231,6 @@ class SiteRegistry:
             members=packed,
             request_cores=cores,
             request_minutes=minutes,
-            submitted_at=now,
-            last_event_at=now,
         )
 
     def _sufficient(self, bin_: PackingBin, packed_count: int) -> bool:

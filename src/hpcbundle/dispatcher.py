@@ -147,8 +147,10 @@ class AccountingRecord:
     def from_text(cls, text: str) -> "AccountingRecord":
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("bundle_id "):
-            raise ValueError("accounting file missing 'bundle_id' header")
-        bundle_id = lines[0].split(maxsplit=1)[1].strip()
+            raise ValueError("accounting line 1: missing 'bundle_id' header")
+        bundle_id = lines[0][len("bundle_id "):].strip()
+        if not bundle_id:
+            raise ValueError("accounting line 1: 'bundle_id' header names no bundle")
         rows: dict[str, tuple[str, int, int]] = {}
         for lineno, line in enumerate(lines[1:], start=2):
             parts = line.split()
@@ -157,7 +159,13 @@ class AccountingRecord:
             job_id, word, elapsed, code = parts
             if word not in _ACCT_WORDS:
                 raise ValueError(f"accounting line {lineno}: unknown state word {word!r}")
-            rows[job_id] = (word, int(elapsed), int(code))
+            try:
+                rows[job_id] = (word, int(elapsed), int(code))
+            except ValueError:
+                raise ValueError(
+                    f"accounting line {lineno}: elapsed {elapsed!r} and exit code {code!r} "
+                    "must be integers"
+                ) from None
         return cls(bundle_id=bundle_id, rows=rows)
 
 
@@ -202,11 +210,9 @@ class BundleArtifacts:
 
 @dataclass(frozen=True)
 class BundleMaterials:
-    """Everything the backend needs to run one bundle."""
+    """The step order of one bundle; each step's allotment is its placement's height."""
 
-    bundle: Bundle
     graph: StepGraph
-    allotments: dict[str, int]  # buffered minutes per step
 
     @property
     def make_text(self) -> str:
@@ -254,25 +260,6 @@ class CollectingSink:
         self.envelopes.append(envelope)
 
 
-@dataclass
-class BundleReport:
-    """Metrics-facing summary of one submitted bundle."""
-
-    bundle_id: str
-    site_id: str
-    n_jobs: int
-    request_cores: int
-    request_minutes: int
-    waste_fraction: float
-    submitted_at: int
-    outcome_counts: Counter = field(default_factory=Counter)
-    consumed_core_minutes: int = 0
-
-    @property
-    def requested_core_minutes(self) -> int:
-        return self.request_cores * self.request_minutes
-
-
 def default_command(job_id: str) -> str:
     """Placeholder step recipe; the real pipeline runs a container here."""
     return f"run-kim-job {job_id}"
@@ -303,8 +290,7 @@ class Dispatcher:
         self.jobs: dict[str, JobRecord] = {}
         self.in_flight: dict[str, Bundle] = {}
         self.finalized: set[str] = set()
-        self.bundle_reports: list[BundleReport] = []
-        self._reports_by_handle: dict[str, BundleReport] = {}
+        self.bundle_reports: list[Bundle] = []  # every submitted bundle, in order
         self.state_counts: Counter = Counter()
         self.ingested = 0
         self.timeout_total = 0
@@ -360,7 +346,7 @@ class Dispatcher:
 
     def submit(self, bundle: Bundle, now: int) -> str | None:
         """Submit a formed bundle; on backend rejection requeue its members."""
-        materials = self._materials(bundle)
+        materials = BundleMaterials(graph=step_graph(bundle.members))
         try:
             handle = self.backend.submit(bundle, materials)
         except BackendRejection as exc:
@@ -369,24 +355,13 @@ class Dispatcher:
                 self.registry.requeue_in_order(site, job_id)
             self._record(now, "REJECTED", f"{bundle.bundle_id} at {bundle.site_id}: {exc}")
             return None
-        bundle.submitted_at = now
         bundle.last_event_at = now
         for job_id, _ in bundle.members:
             job = self.jobs[job_id]
             job.attempts += 1
             self._set_state(job, JobState.BUNDLED, now)
         self.in_flight[handle] = bundle
-        report = BundleReport(
-            bundle_id=bundle.bundle_id,
-            site_id=bundle.site_id,
-            n_jobs=len(bundle.members),
-            request_cores=bundle.request_cores,
-            request_minutes=bundle.request_minutes,
-            waste_fraction=bundle.waste_fraction(),
-            submitted_at=now,
-        )
-        self.bundle_reports.append(report)
-        self._reports_by_handle[handle] = report
+        self.bundle_reports.append(bundle)
         self._record(
             now,
             "SUBMIT",
@@ -395,13 +370,6 @@ class Dispatcher:
             f"jobs {','.join(bundle.job_ids)}",
         )
         return handle
-
-    def _materials(self, bundle: Bundle) -> BundleMaterials:
-        return BundleMaterials(
-            bundle=bundle,
-            graph=step_graph(bundle.members),
-            allotments={job_id: p.rect.minutes for job_id, p in bundle.members},
-        )
 
     # -- backend notifications ------------------------------------------
 
@@ -450,7 +418,6 @@ class Dispatcher:
         if bundle is None:
             raise KeyError(f"unknown bundle handle {handle!r}")
         self.finalized.add(handle)
-        report = self._reports_by_handle[handle]
 
         try:
             accounting = AccountingRecord.from_text(artifacts.accounting_text)
@@ -469,8 +436,8 @@ class Dispatcher:
             sentinel = artifacts.sentinels.get(job_id, False)
             outcome = self._classify(job_id, row, sentinel)
             outcomes.append(outcome)
-            report.outcome_counts[outcome.status] += 1
-            report.consumed_core_minutes += outcome.elapsed_minutes * job.cores
+            bundle.outcome_counts[outcome.status] += 1
+            bundle.consumed_core_minutes += outcome.elapsed_minutes * job.cores
             self._apply_outcome(job, outcome, now)
         self._record(
             now,

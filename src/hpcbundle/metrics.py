@@ -52,21 +52,21 @@ _OUTCOME_COLUMN = {
 
 def bundle_rows(dispatcher: Dispatcher) -> list[dict[str, object]]:
     rows = []
-    for report in dispatcher.bundle_reports:
+    for bundle in dispatcher.bundle_reports:
         row: dict[str, object] = {
-            "bundle_id": report.bundle_id,
-            "site_id": report.site_id,
-            "n_jobs": report.n_jobs,
-            "request_cores": report.request_cores,
-            "request_minutes": report.request_minutes,
-            "waste_fraction": f"{report.waste_fraction:.6f}",
+            "bundle_id": bundle.bundle_id,
+            "site_id": bundle.site_id,
+            "n_jobs": bundle.n_jobs,
+            "request_cores": bundle.request_cores,
+            "request_minutes": bundle.request_minutes,
+            "waste_fraction": f"{bundle.waste_fraction():.6f}",
             "n_completed": 0,
             "n_timeout": 0,
             "n_node_fault": 0,
             "n_cancelled": 0,
             "n_failed": 0,
         }
-        for status, count in report.outcome_counts.items():
+        for status, count in bundle.outcome_counts.items():
             row[_OUTCOME_COLUMN[status]] = count
         rows.append(row)
     return rows
@@ -179,8 +179,8 @@ def summarize(dispatcher: Dispatcher) -> Summary:
     ]
     mean, p95 = _turnaround_stats(turnarounds)
     per_site: dict[str, int] = {}
-    for report in dispatcher.bundle_reports:
-        per_site[report.site_id] = per_site.get(report.site_id, 0) + 1
+    for bundle in dispatcher.bundle_reports:
+        per_site[bundle.site_id] = per_site.get(bundle.site_id, 0) + 1
     return Summary(
         n_jobs=dispatcher.ingested,
         n_completed=dispatcher.state_counts[JobState.COMPLETED],

@@ -175,13 +175,11 @@ def schedule_steps(
 class _BundleRun:
     """Mutable per-submission state inside the simulator."""
 
-    def __init__(self, handle: str, bundle: Bundle, materials: BundleMaterials,
-                 submitted_at: int, wait: int):
+    def __init__(self, handle: str, bundle: Bundle, materials: BundleMaterials, wait: int):
         self.handle = handle
         self.bundle = bundle
         self.materials = materials
         self.site_id = bundle.site_id
-        self.submitted_at = submitted_at
         self.wait = wait
         self.started_at: int | None = None
         self.finalized_at: int | None = None
@@ -274,7 +272,7 @@ class SimCluster:
         self._handle_seq += 1
         handle = f"sim-{self._handle_seq:05d}"
         wait = self.config.wait_for(site.site_id).sample(self._wait_rng(site.site_id))
-        run = _BundleRun(handle, bundle, materials, now, wait)
+        run = _BundleRun(handle, bundle, materials, wait)
         self.runs[handle] = run
         self.sim.push(now, self.sim.on_notify, handle, EVENT_ACCEPTED)
         self.sim.push(now, self.sim.on_notify, handle, EVENT_QUEUED)
@@ -302,8 +300,8 @@ class SimCluster:
         grace = self.config.grace_minutes
         durations: dict[str, int] = {}
         timed_out: dict[str, bool] = {}
-        for job_id, _ in run.bundle.members:
-            allotment = run.materials.allotments[job_id]
+        for job_id, placement in run.bundle.members:
+            allotment = placement.rect.minutes
             true = self.sim.true_runtime(job_id) * self._overrun.get(job_id, 1)
             timed_out[job_id] = true > allotment + grace
             durations[job_id] = min(true, allotment + grace)

@@ -167,7 +167,7 @@ def parse_sites_text(text: str) -> SiteFileContents:
     return contents
 
 
-_SITE_KEYS = {"cores_per_node", "max_walltime_minutes", "node_sharing", "active", "queue_wait"}
+_SITE_KEYS = {"cores_per_node", "max_walltime_minutes", "active", "queue_wait"}
 
 
 def _build_site(site_id: str, kv: dict[str, tuple[str, int]], lineno: int) -> ExecutionSite:
@@ -182,7 +182,6 @@ def _build_site(site_id: str, kv: dict[str, tuple[str, int]], lineno: int) -> Ex
             site_id=site_id,
             cores_per_node=_parse_int(*kv["cores_per_node"]),
             max_walltime_minutes=_parse_int(*kv["max_walltime_minutes"]),
-            node_sharing=_parse_bool(*kv["node_sharing"]) if "node_sharing" in kv else False,
             active=_parse_bool(*kv["active"]) if "active" in kv else True,
         )
     except ParseError:
@@ -235,7 +234,6 @@ def emit_sites(contents: SiteFileContents) -> str:
         lines.append(f"[site {site.site_id}]")
         lines.append(f"cores_per_node = {site.cores_per_node}")
         lines.append(f"max_walltime_minutes = {site.max_walltime_minutes}")
-        lines.append(f"node_sharing = {'true' if site.node_sharing else 'false'}")
         lines.append(f"active = {'true' if site.active else 'false'}")
         wait = contents.queue_waits.get(site.site_id)
         if wait is not None:
@@ -276,6 +274,10 @@ def parse_workload_text(text: str) -> list[JobSpec]:
         if None in row.values() or None in row:
             _fail(lineno, "wrong number of fields")
         job_id = row["job_id"]
+        # Accounting lines are split on whitespace, one field per job id;
+        # the split is also empty for an empty id.
+        if job_id.split() != [job_id]:
+            _fail(lineno, f"job_id {job_id!r} must be non-empty with no whitespace")
         if job_id in seen:
             _fail(lineno, f"duplicate job_id {job_id!r}")
         seen.add(job_id)

@@ -90,7 +90,7 @@ class TestIngest:
         assert job.attempts == 1
         handle, bundle, materials = backend.last
         assert bundle.job_ids == ["j"]
-        assert materials.allotments == {"j": 35}  # 30 + default buffer 5
+        assert bundle.members[0][1].rect.minutes == 35  # 30 + default buffer 5
         assert "run-kim-job j" in materials.make_text
 
         dispatcher.on_event(handle, "RUNNING", now=5)
@@ -232,21 +232,22 @@ class TestFaultOutcomes:
         assert job.attempts == 2
 
     def test_unparsable_accounting_is_node_fault_for_unfinished(self):
-        dispatcher, backend, _ = build(policy=BundlePolicy(min_jobs=2, min_fill=1.0))
-        dispatcher.ingest(spec("a", cores=2, minutes=10), now=0)
-        dispatcher.ingest(spec("b", cores=2, minutes=10), now=0)
-        handle, bundle, _ = backend.last
-        arts = BundleArtifacts(
-            accounting_text="garbage without header\n",
-            sentinels={"a": True, "b": False},
-        )
-        dispatcher.on_event(handle, "FINISHED", now=40, artifacts=arts)
-        # The sentinel marks a's conclusion even with accounting lost.
-        assert dispatcher.jobs["a"].state is JobState.COMPLETED
-        assert dispatcher.jobs["b"].state is JobState.BOUND or (
-            dispatcher.jobs["b"].state is JobState.BUNDLED
-        )
-        assert dispatcher.jobs["b"].requested_minutes == 10
+        for accounting_text in ("garbage without header\n", "bundle_id \n"):
+            dispatcher, backend, _ = build(policy=BundlePolicy(min_jobs=2, min_fill=1.0))
+            dispatcher.ingest(spec("a", cores=2, minutes=10), now=0)
+            dispatcher.ingest(spec("b", cores=2, minutes=10), now=0)
+            handle, bundle, _ = backend.last
+            arts = BundleArtifacts(
+                accounting_text=accounting_text,
+                sentinels={"a": True, "b": False},
+            )
+            dispatcher.on_event(handle, "FINISHED", now=40, artifacts=arts)
+            # The sentinel marks a's conclusion even with accounting lost.
+            assert dispatcher.jobs["a"].state is JobState.COMPLETED
+            assert dispatcher.jobs["b"].state is JobState.BOUND or (
+                dispatcher.jobs["b"].state is JobState.BUNDLED
+            )
+            assert dispatcher.jobs["b"].requested_minutes == 10
 
     def test_retry_cap_errors_flaky(self):
         dispatcher, backend, sink = build(retry_cap=3)
@@ -431,10 +432,12 @@ class TestAccountingFormat:
             "no header here\n",
             "bundle_id B1\na COMPLETED 30\n",  # missing field
             "bundle_id B1\na WEIRD 30 0\n",  # unknown state word
+            "bundle_id \n",  # header names no bundle
+            "bundle_id B1\na COMPLETED x 0\n",  # non-integer elapsed
         ],
     )
     def test_rejects_malformed(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^accounting line \d+: "):
             AccountingRecord.from_text(text)
 
 

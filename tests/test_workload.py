@@ -37,7 +37,6 @@ queue_wait = uniform 5 90
 [site beta]
 cores_per_node = 128
 max_walltime_minutes = 720
-node_sharing = true
 active = false
 queue_wait = fixed 30
 
@@ -70,7 +69,6 @@ class TestSitesParsing:
         assert contents.tick_minutes == 10
         alpha, beta = contents.sites
         assert alpha == ExecutionSite("alpha", 16, 2880)
-        assert beta.node_sharing is True
         assert beta.active is False
         assert contents.queue_waits == {
             "alpha": QueueWait("uniform", 5, 90),
@@ -87,7 +85,7 @@ class TestSitesParsing:
             "[site s]\ncores_per_node = 4\nmax_walltime_minutes = 60\n"
         )
         [site] = contents.sites
-        assert site.node_sharing is False and site.active is True
+        assert site.active is True
         assert contents.grace_minutes is None
         assert contents.queue_waits == {}
 
@@ -112,6 +110,8 @@ class TestSitesParsing:
             ("[site s]\ncores_per_node = 4\n", 1, "missing max_walltime_minutes"),
             ("[site s]\ncores_per_node = 4\nmax_walltime_minutes = x\n", 3, "integer"),
             ("[site s]\ncolor = blue\n", 2, "unknown site key"),
+            ("[site s]\ncores_per_node = 4\nmax_walltime_minutes = 9\n"
+             "node_sharing = true\n", 4, "unknown site key"),
             ("[sim]\nweather = nice\n", 2, "unknown [sim] key"),
             ("[site s]\ncores_per_node = 4\nmax_walltime_minutes = 9\n"
              "active = maybe\n", 4, "boolean"),
@@ -192,6 +192,8 @@ class TestWorkloadParsing:
             ("J9,t,m,four,120,95,0", 3, "integer"),
             ("J9,t,m,4,120,95", 3, "wrong number of fields"),
             ("J9,t,m,4,120,95,0,extra", 3, "wrong number of fields"),
+            ("J 9,t,m,4,120,95,0", 3, "no whitespace"),
+            (",t,m,4,120,95,0", 3, "non-empty"),
         ],
     )
     def test_row_errors(self, row, lineno, fragment):
