@@ -138,6 +138,8 @@ class SiteRegistry:
         self._bundle_seq = 0
         self._queue_seq = 0
         self._seq_of: dict[str, int] = {}
+        # One buffered rectangle per (cores, requested minutes) request.
+        self._rects: dict[tuple[int, int], ResourceRect] = {}
 
     def site(self, site_id: str) -> ExecutionSite:
         return self.sites[site_id]
@@ -204,21 +206,28 @@ class SiteRegistry:
             return None
 
         bin_ = PackingBin(site.cores_per_node, site.max_walltime_minutes)
-        buffer = self.policy.timeout_buffer_minutes
+        insert = bin_.insert
+        area = bin_.area
+        min_jobs, min_fill = self.policy.min_jobs, self.policy.min_fill
+        rects = self._rects
         packed: list[tuple[str, Placement]] = []
+        sufficient = False
         for job_id in site.queue:
             job = jobs[job_id]
-            rect = ResourceRect(job.cores, job.requested_minutes + buffer)
-            placement = bin_.insert(rect)
+            shape = (job.cores, job.requested_minutes)
+            rect = rects.get(shape)
+            if rect is None:
+                rect = rects[shape] = ResourceRect(
+                    job.cores, job.requested_minutes + self.policy.timeout_buffer_minutes)
+            placement = insert(rect)
             if placement is None:
                 continue
             packed.append((job_id, placement))
-            if self._sufficient(bin_, len(packed)):
+            if len(packed) >= min_jobs or bin_.used_area() / area >= min_fill:
+                sufficient = True
                 break
 
-        if not packed:
-            return None
-        if not force and not self._sufficient(bin_, len(packed)):
+        if not packed or not (force or sufficient):
             return None
 
         packed_ids = {job_id for job_id, _ in packed}
@@ -232,11 +241,6 @@ class SiteRegistry:
             request_cores=cores,
             request_minutes=minutes,
         )
-
-    def _sufficient(self, bin_: PackingBin, packed_count: int) -> bool:
-        if packed_count >= self.policy.min_jobs:
-            return True
-        return bin_.used_area() / bin_.area >= self.policy.min_fill
 
     def flush_due_sites(self, now: int, jobs: Mapping[str, JobLike]) -> list[Bundle]:
         """Force-form bundles on active sites overdue for an attempt."""

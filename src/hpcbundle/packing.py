@@ -187,7 +187,12 @@ class PackingBin:
         the strip's parent overlaps the placement and the list before the
         cut held no nested rectangles.  A survivor that contains a strip meets the
         placement's edge line the strip lies on, or it would overlap the
-        placement, so strips are checked only against those survivors.
+        placement, so strips are checked only against those survivors and
+        against the strips already kept.  Strips go largest area first: a
+        strip can lie only inside one of equal or larger area, and the
+        stable sort keeps the first of two equal strips.  List order is not
+        kept: :meth:`insert` breaks ties only among rectangles that share
+        the winning corner, and all of them give the same placement.
         """
         survivors: list[tuple[int, int, int, int]] = []
         strips: list[tuple[int, int, int, int]] = []
@@ -205,20 +210,16 @@ class PackingBin:
             if pt < t:
                 strips.append((x, pt, r, t))
 
-        # Strips among themselves: drop nested ones, keep one of equal ones.
-        kept: list[tuple[int, int, int, int]] = []
+        strips.sort(key=_area, reverse=True)
+        walls = [fr for fr in survivors
+                 if fr[2] == px or fr[0] == pr or fr[3] == py or fr[1] == pt]
         for s in strips:
             x, y, r, t = s
-            if any(kx <= x and ky <= y and r <= kr and t <= kt for kx, ky, kr, kt in kept):
-                continue
-            kept = [k for k in kept if not (x <= k[0] and y <= k[1] and k[2] <= r and k[3] <= t)]
-            kept.append(s)
-
-        edge = [fr for fr in survivors
-                if fr[2] == px or fr[0] == pr or fr[3] == py or fr[1] == pt]
-        for s in kept:
-            x, y, r, t = s
-            if not any(ex <= x and ey <= y and r <= er and t <= et for ex, ey, er, et in edge):
+            for wx, wy, wr, wt in walls:
+                if wx <= x and wy <= y and r <= wr and t <= wt:
+                    break
+            else:
+                walls.append(s)
                 survivors.append(s)
         self._free = survivors
 
@@ -257,6 +258,11 @@ class PackingBin:
         rows.reverse()
         footer = "      +" + "-" * self.width + "+"
         return "\n".join(rows + [footer])
+
+
+def _area(rect: tuple[int, int, int, int]) -> int:
+    x, y, r, t = rect
+    return (r - x) * (t - y)
 
 
 def _default_label(index: int) -> str:

@@ -158,17 +158,25 @@ def schedule_steps(
     roots start at ``start_minute``.  Durations are taken as given, so
     callers apply kill rules before calling.
     """
+    # Depth-first over predecessors with an explicit stack, so a deep
+    # stack of steps cannot exhaust the interpreter's recursion limit.
+    # Steps enter ``times`` in post-order (nodes in ``graph.nodes`` order,
+    # predecessors sorted); event pushes follow that order.
     times: dict[str, tuple[int, int]] = {}
-
-    def end_of(node: str) -> int:
-        if node not in times:
-            preds = graph.predecessors(node)
-            start = max((end_of(p) for p in preds), default=start_minute)
-            times[node] = (start, start + durations[node])
-        return times[node][1]
-
-    for node in graph.nodes:
-        end_of(node)
+    for root in graph.nodes:
+        if root in times:
+            continue
+        stack = [(root, graph.predecessors(root))]
+        while stack:
+            node, preds = stack[-1]
+            for pre in preds:
+                if pre not in times:
+                    stack.append((pre, graph.predecessors(pre)))
+                    break
+            else:
+                stack.pop()
+                start = max((times[pre][1] for pre in preds), default=start_minute)
+                times[node] = (start, start + durations[node])
     return times
 
 

@@ -11,6 +11,7 @@ job.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .packing import Placement
@@ -23,21 +24,36 @@ class StepGraph:
     """Transitively reduced precedence between bundle members.
 
     Edges point from prerequisite to dependent.  Guaranteed acyclic:
-    every edge strictly increases the dependent's bottom edge.
+    every edge strictly increases the dependent's bottom edge.  The
+    sorted predecessor and successor lists are built once, on first use.
     """
 
     nodes: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
 
+    @cached_property
+    def _preds(self) -> dict[str, list[str]]:
+        preds: dict[str, list[str]] = {}
+        for pre, post in sorted(self.edges):
+            preds.setdefault(post, []).append(pre)
+        return preds
+
+    @cached_property
+    def _succs(self) -> dict[str, list[str]]:
+        succs: dict[str, list[str]] = {}
+        for post, pres in sorted(self._preds.items()):
+            for pre in pres:
+                succs.setdefault(pre, []).append(post)
+        return succs
+
     def predecessors(self, node: str) -> list[str]:
-        return sorted(pre for pre, post in self.edges if post == node)
+        return list(self._preds.get(node, ()))
 
     def successors(self, node: str) -> list[str]:
-        return sorted(post for pre, post in self.edges if pre == node)
+        return list(self._succs.get(node, ()))
 
     def roots(self) -> list[str]:
-        dependents = {post for _, post in self.edges}
-        return sorted(n for n in self.nodes if n not in dependents)
+        return sorted(n for n in self.nodes if n not in self._preds)
 
 
 def beneath_relation(members: Sequence[tuple[str, Placement]]) -> Relation:
@@ -98,9 +114,31 @@ def transitive_reduction(nodes: Iterable[str], relation: Relation) -> StepGraph:
 
 
 def step_graph(members: Sequence[tuple[str, Placement]]) -> StepGraph:
-    """Convenience: full beneath relation then transitive reduction."""
-    relation = beneath_relation(members)
+    """Reduced precedence of a packed bundle, by a sweep over core columns.
+
+    The candidate edges are, for every core column, the pairs of
+    consecutive occupants by bottom edge: members are swept bottom-up and
+    each is linked to the member last seen on each of its cores.  Each
+    candidate lies in :func:`beneath_relation`, because members of one
+    bin do not overlap, and each direct edge of that relation is a
+    candidate: a member between the two in a shared column would give a
+    longer path.  So both have the same closure, and the transitive
+    reduction of a DAG is unique (Aho, Garey & Ullman 1972), so reducing
+    the candidates gives the same graph as reducing the full relation.
+    """
+    below: dict[int, str] = {}  # core -> latest member swept that covers it
+    relation: Relation = set()
+    for job_id, p in sorted(members, key=_bottom):
+        for core in range(p.x, p.x + p.rect.cores):
+            pre = below.get(core)
+            if pre is not None:
+                relation.add((pre, job_id))
+            below[core] = job_id
     return transitive_reduction((job_id for job_id, _ in members), relation)
+
+
+def _bottom(member: tuple[str, Placement]) -> int:
+    return member[1].y
 
 
 def emit_make(graph: StepGraph, command_for: Callable[[str], str]) -> str:

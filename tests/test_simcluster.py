@@ -120,6 +120,36 @@ class TestScheduleSteps:
         graph = StepGraph(nodes=("A",), edges=frozenset())
         assert schedule_steps(graph, {"A": 5}, start_minute=100) == {"A": (100, 105)}
 
+    def test_steps_enter_in_post_order(self):
+        # on_bundle_start pushes step events in the order of the returned
+        # dict: depth-first from each node in graph.nodes order, sorted
+        # predecessors first.
+        graph = StepGraph(
+            nodes=("A", "B", "C", "D"),
+            edges=frozenset({("C", "A"), ("B", "A"), ("D", "B")}),
+        )
+        times = schedule_steps(graph, {"A": 1, "B": 2, "C": 3, "D": 4})
+        assert list(times) == ["D", "B", "C", "A"]
+        assert times["A"] == (6, 7)
+
+    def test_tall_stack_runs_to_completion(self):
+        # 420 one-core jobs stack into one column of a 1-core site; ids
+        # run against arrival order, so the first node in sorted order is
+        # the top of a 420-deep chain of predecessors.
+        n = 420
+        jobs = [job(f"j{n - k:04d}", cores=1, req=1, true=1, arrival=k) for k in range(n)]
+        report = sim(
+            jobs,
+            sites=[ExecutionSite("thin", 1, 2880)],
+            policy=BundlePolicy(min_jobs=n, min_fill=1.0),
+        ).run()
+        [bundle] = report.dispatcher.bundle_reports
+        assert bundle.n_jobs == n
+        states = [record.state for record in report.dispatcher.jobs.values()]
+        assert states == [JobState.COMPLETED] * n
+        # Each step waits for the one beneath it: one minute per level.
+        assert log_times(report, "STEP_END")[-1] - log_times(report, "BUNDLE_START")[0] == n
+
 
 class TestStallArithmetic:
     def backend(self, windows):

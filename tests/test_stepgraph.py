@@ -191,3 +191,35 @@ def test_reduced_graph_has_no_implied_edge(rects):
     for a, b in graph.edges:
         for mid in succ[a] - {b}:
             assert b not in reachable_from(mid), f"edge {a}->{b} implied via {mid}"
+
+
+@st.composite
+def wide_packings(draw):
+    """Packed members of bins up to 64x2880, with up to 200 members."""
+    width = draw(st.just(64) | st.integers(1, 64))
+    height = draw(st.just(2880) | st.integers(1, 2880))
+    scale = draw(st.sampled_from((1, 4, 8, 16)))
+    count = draw(st.just(200) | st.integers(1, 200))
+    # A seeded generator spreads the shapes; plain hypothesis integers
+    # repeat small values and give thin, short packings.
+    rnd = draw(st.randoms(use_true_random=False))
+    bin_ = PackingBin(width, height)
+    members = []
+    for i in range(count):
+        p = bin_.insert(ResourceRect(rnd.randint(1, max(1, width // scale)),
+                                     rnd.randint(1, max(1, height // scale))))
+        if p is not None:
+            members.append((f"j{i}", p))
+    return members
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_packings())
+def test_column_sweep_matches_full_relation(members):
+    ids = [job_id for job_id, _ in members]
+    graph = step_graph(members)
+    assert graph == transitive_reduction(ids, beneath_relation(members))
+    for node in graph.nodes:
+        assert graph.predecessors(node) == sorted(a for a, b in graph.edges if b == node)
+        assert graph.successors(node) == sorted(b for a, b in graph.edges if a == node)
+    assert graph.roots() == sorted(n for n in graph.nodes if all(b != n for _, b in graph.edges))
