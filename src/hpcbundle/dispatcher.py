@@ -66,7 +66,7 @@ _ALLOWED_TRANSITIONS: dict[JobState, set[JobState]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobSpec:
     """One requested job: a model/property pairing plus its resource ask."""
 
@@ -79,7 +79,7 @@ class JobSpec:
     arrival_minute: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class JobRecord:
     """Lifecycle state machine for one job.
 
@@ -117,7 +117,7 @@ class JobRecord:
         return ratio.bit_length() - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepOutcome:
     """Per-member verdict from inspecting a returned bundle."""
 
@@ -220,7 +220,7 @@ class BundleMaterials:
         return emit_make(self.graph, default_command)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResultEnvelope:
     """Per-job result or error forwarded to the gateway-side sink."""
 

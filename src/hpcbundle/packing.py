@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceRect:
     """A job's resource demand: ``cores`` wide, ``minutes`` tall."""
 
@@ -33,7 +33,7 @@ class ResourceRect:
         return self.cores * self.minutes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Placement:
     """A rectangle fixed at integer coordinates inside a bin.
 
@@ -70,7 +70,7 @@ class Placement:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeRect:
     """A maximal empty rectangle tracked in a bin's free list."""
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -137,7 +138,7 @@ class SimConfig:
         return self.queue_waits.get(site_id, _NO_WAIT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepSchedule:
     """Computed execution window for one step inside a bundle."""
 
@@ -181,20 +182,30 @@ def schedule_steps(
 
 
 class _BundleRun:
-    """Mutable per-submission state inside the simulator."""
+    """Mutable per-submission state inside the simulator.
+
+    Finalization releases the working state: ``schedule``, ``rows`` and
+    ``materials`` become ``None``, and ``sentinels`` and ``outputs`` live
+    on as ``artifacts.sentinels`` and ``artifacts.outputs``.  A finished
+    run keeps ``handle``, ``bundle``, ``site_id``, ``wait``,
+    ``started_at``, ``finalized_at`` and ``artifacts``.
+    """
+
+    __slots__ = ("handle", "bundle", "materials", "site_id", "wait", "started_at",
+                 "finalized_at", "schedule", "rows", "sentinels", "outputs", "artifacts")
 
     def __init__(self, handle: str, bundle: Bundle, materials: BundleMaterials, wait: int):
         self.handle = handle
         self.bundle = bundle
-        self.materials = materials
+        self.materials: BundleMaterials | None = materials
         self.site_id = bundle.site_id
         self.wait = wait
         self.started_at: int | None = None
         self.finalized_at: int | None = None
-        self.schedule: dict[str, StepSchedule] = {}
-        self.rows: dict[str, tuple[str, int, int]] = {}
-        self.sentinels: dict[str, bool] = {}
-        self.outputs: dict[str, str] = {}
+        self.schedule: dict[str, StepSchedule] | None = {}
+        self.rows: dict[str, tuple[str, int, int]] | None = {}
+        self.sentinels: dict[str, bool] | None = {}
+        self.outputs: dict[str, str] | None = {}
         self.artifacts: BundleArtifacts | None = None
 
     @property
@@ -221,11 +232,15 @@ class SimCluster:
                 self._sentinel_suppression[fault.target] = fault.times
             else:
                 self.stall_windows.setdefault(fault.target, []).append(fault.window)
-        for windows in self.stall_windows.values():
+        # Sorted windows that do not overlap also have increasing ends,
+        # which the stall arithmetic bisects.
+        self._stall_ends: dict[str, list[int]] = {}
+        for site_id, windows in self.stall_windows.items():
             windows.sort()
             for (_, e0), (s1, _) in zip(windows, windows[1:]):
                 if s1 < e0:
                     raise ValueError("GLOBAL_STALL windows on one site must not overlap")
+            self._stall_ends[site_id] = [e for _, e in windows]
 
     # -- virtual-time arithmetic under site freezes ----------------------
 
@@ -236,30 +251,43 @@ class SimCluster:
         Progress that completes exactly at a window's opening instant
         counts as done; anything needing more waits out the window.
         """
+        windows = self.stall_windows.get(site_id)
+        if not windows:
+            return now + delta
         cur = now
         remaining = delta
-        for start, end in self.stall_windows.get(site_id, ()):
-            if end <= cur:
-                continue
+        # Windows ending at or before ``now`` are behind it; every later
+        # window ends after the minute the walk has reached.
+        for start, end in windows[bisect_right(self._stall_ends[site_id], now):]:
             if cur < start:
                 step = min(remaining, start - cur)
                 cur += step
                 remaining -= step
                 if remaining == 0:
                     return cur
-            if cur >= start:
-                cur = end
+            cur = end
         return cur + remaining
 
     def progress(self, site_id: str, start: int, now: int) -> int:
         """Compute minutes actually elapsed on a site between two instants."""
         total = now - start
-        for s, e in self.stall_windows.get(site_id, ()):
-            total -= max(0, min(now, e) - max(start, s))
+        windows = self.stall_windows.get(site_id)
+        if windows:
+            # Only windows ending after ``start`` and opening before ``now``
+            # overlap the interval.
+            for s, e in windows[bisect_right(self._stall_ends[site_id], start):]:
+                if s >= now:
+                    break
+                total -= min(now, e) - max(start, s)
         return max(0, total)
 
     def suppressed(self, site_id: str, at: int) -> bool:
-        return any(s <= at < e for s, e in self.stall_windows.get(site_id, ()))
+        """True while ``at`` lies inside one of the site's stall windows."""
+        windows = self.stall_windows.get(site_id)
+        if not windows:
+            return False
+        i = bisect_right(self._stall_ends[site_id], at)  # first window ending after ``at``
+        return i < len(windows) and windows[i][0] <= at
 
     def _wait_rng(self, site_id: str) -> random.Random:
         if site_id not in self._wait_rngs:
@@ -391,14 +419,17 @@ class SimCluster:
             bundle_id=run.bundle.bundle_id,
             rows={job_id: run.rows[job_id] for job_id, _ in run.bundle.members},
         )
+        # Nothing writes the run's dicts after this point, so the artifacts
+        # take them as they are.
         run.artifacts = BundleArtifacts(
             accounting_text=accounting.to_text(),
-            sentinels=dict(run.sentinels),
-            outputs=dict(run.outputs),
+            sentinels=run.sentinels,
+            outputs=run.outputs,
         )
         self.sim.record(now, EV_BUNDLE_END,
                         f"{run.bundle.bundle_id} {'killed' if killed else 'complete'}")
         self.sim.materialize(run)
+        run.schedule = run.rows = run.materials = run.sentinels = run.outputs = None
         if notify:
             self.sim.push(now, self.sim.on_notify, run.handle, EVENT_FINISHED)
 
@@ -417,7 +448,10 @@ class SimReport:
 
     @property
     def event_log_text(self) -> str:
-        return "\n".join(self.log) + "\n"
+        # One join over the lines plus an empty last one gives the final
+        # newline without a second full-size copy of the text; an empty
+        # log renders as one newline.
+        return "\n".join([*(self.log or [""]), ""])
 
 
 class Simulation:

@@ -111,6 +111,8 @@ def parse_sites_text(text: str) -> SiteFileContents:
     site_kv: dict[str, tuple[str, int]] = {}
     site_id: str | None = None
     fault_kv: dict[str, tuple[str, int]] = {}
+    section_keys: set[str] = set()
+    site_ids: set[str] = set()
     section_line = 0
 
     def close_section() -> None:
@@ -128,7 +130,7 @@ def parse_sites_text(text: str) -> SiteFileContents:
             continue
         if line.startswith("[") and line.endswith("]"):
             close_section()
-            site_kv, fault_kv = {}, {}
+            site_kv, fault_kv, section_keys = {}, {}, set()
             header = line[1:-1].strip()
             section_line = lineno
             if header == "sim":
@@ -140,12 +142,18 @@ def parse_sites_text(text: str) -> SiteFileContents:
                 site_id = header[len("site"):].strip()
                 if not site_id:
                     _fail(lineno, "site section needs an id: [site <id>]")
+                if site_id in site_ids:
+                    _fail(lineno, f"duplicate site id {site_id!r}")
+                site_ids.add(site_id)
             else:
                 _fail(lineno, f"unknown section {header!r}")
             continue
         if "=" not in line:
             _fail(lineno, f"expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in section_keys:
+            _fail(lineno, f"duplicate key {key!r}")
+        section_keys.add(key)
         if section == "sim":
             if key == "grace_minutes":
                 contents.grace_minutes = _parse_int(value, lineno)
@@ -160,10 +168,6 @@ def parse_sites_text(text: str) -> SiteFileContents:
         else:
             _fail(lineno, "key-value pair outside any section")
     close_section()
-
-    ids = [s.site_id for s in contents.sites]
-    if len(set(ids)) != len(ids):
-        raise ParseError("duplicate site ids")
     return contents
 
 

@@ -9,6 +9,10 @@ The free-list oracle is the straightforward MaxRects bookkeeping: split
 every free rectangle the placement overlaps, then prune the whole list
 to its maximal members.  The production packer prunes only the new
 strips; both must hold the same set of free rectangles.
+
+The stall-window references are the linear definitions of the
+simulator's virtual-time arithmetic: each walks every window of a site
+from the first.  The simulator bisects the sorted windows instead.
 """
 
 from __future__ import annotations
@@ -124,3 +128,34 @@ def core_usage_profile(
         level += events[t]
         profile.append((t, level))
     return profile
+
+
+def stall_advance(windows: list[tuple[int, int]], now: int, delta: int) -> int:
+    """Minute at which ``delta`` minutes of progress from ``now`` complete."""
+    cur = now
+    remaining = delta
+    for start, end in windows:
+        if end <= cur:
+            continue
+        if cur < start:
+            step = min(remaining, start - cur)
+            cur += step
+            remaining -= step
+            if remaining == 0:
+                return cur
+        if cur >= start:
+            cur = end
+    return cur + remaining
+
+
+def stall_progress(windows: list[tuple[int, int]], start: int, now: int) -> int:
+    """Minutes of progress between two instants, stall windows excluded."""
+    total = now - start
+    for s, e in windows:
+        total -= max(0, min(now, e) - max(start, s))
+    return max(0, total)
+
+
+def stall_suppressed(windows: list[tuple[int, int]], at: int) -> bool:
+    """True while ``at`` lies inside a window."""
+    return any(s <= at < e for s, e in windows)

@@ -1,6 +1,10 @@
 """Simulated cluster backend: virtual time, faults, and recovery loops."""
 
+import gc
+import weakref
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hpcbundle.bundling import BundlePolicy, ExecutionSite
 from hpcbundle.dispatcher import JobSpec, JobState
@@ -12,10 +16,16 @@ from hpcbundle.simcluster import (
     QueueWait,
     SimConfig,
     Simulation,
+    SimCluster,
     derive_rng,
     schedule_steps,
 )
+from hpcbundle.dispatcher import AccountingRecord
 from hpcbundle.stepgraph import StepGraph
+from hpcbundle.workload import parse_policy, parse_sites_text, parse_workload_text
+
+from reference import stall_advance, stall_progress, stall_suppressed
+from test_golden import GOLDEN
 
 
 def job(job_id, cores=3, req=30, true=20, arrival=0):
@@ -194,6 +204,31 @@ class TestStallArithmetic:
         with pytest.raises(ValueError):
             self.backend([(10, 30), (20, 40)])
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        gaps=st.lists(st.tuples(st.integers(0, 15), st.integers(1, 15)), max_size=8),
+        deltas=st.lists(st.integers(0, 60), max_size=4),
+    )
+    def test_bisection_matches_linear_definitions(self, gaps, deltas):
+        # Windows built from (gap, length) pairs: a zero gap makes two
+        # windows touch, and a zero first gap opens one at minute 0.
+        windows, cur = [], 0
+        for gap, length in gaps:
+            windows.append((cur + gap, cur + gap + length))
+            cur += gap + length
+        cluster = self.backend(windows) if windows else sim([job("a")]).backend
+        # Every window edge, a minute either side, and both ends of the span.
+        points = sorted({0, cur + 5} | {m + d for w in windows for m in w
+                                        for d in (-1, 0, 1) if m + d >= 0})
+        for at in points:
+            assert cluster.suppressed("S1", at) == stall_suppressed(windows, at), at
+            # Deltas that end exactly at each later window's start, and the drawn ones.
+            for delta in {*deltas, *(s - at for s, _ in windows if s >= at)}:
+                assert cluster.advance("S1", at, delta) == stall_advance(windows, at, delta)
+            for end in points:
+                assert (cluster.progress("S1", at, end)
+                        == stall_progress(windows, at, end)), (at, end)
+
 
 class TestHappyPath:
     def test_single_job_lifecycle(self):
@@ -281,7 +316,7 @@ class TestBundleKill:
         # Stack a -> b -> c, each allotted 10 (+5 grace).  a and b eat the
         # full 15 each; the bundle dies at request 30 + grace 5 = 35, five
         # minutes into c.
-        assert first.rows == {
+        assert AccountingRecord.from_text(first.artifacts.accounting_text).rows == {
             "a": ("TIMEOUT", 15, 124),
             "b": ("TIMEOUT", 15, 124),
             "c": ("CANCELLED", 5, 143),
@@ -357,6 +392,42 @@ class TestStallRecovery:
         assert record.state is JobState.COMPLETED
         assert record.attempts == 1
         assert report.sink.envelopes[0].elapsed_minutes == 10
+
+
+class TestFinishedRuns:
+    def test_runs_release_their_working_state(self, monkeypatch):
+        make_inputs, seed, policy, _ = GOLDEN["faults"]
+        sites_text, workload_text = make_inputs()
+        contents = parse_sites_text(sites_text)
+        graphs = []
+        original_submit = SimCluster.submit
+
+        def submit(self, bundle, materials):
+            if not graphs:
+                graphs.append(weakref.ref(materials.graph))
+            return original_submit(self, bundle, materials)
+
+        monkeypatch.setattr(SimCluster, "submit", submit)
+        report = Simulation(contents.sites, parse_workload_text(workload_text),
+                            parse_policy(policy), contents.build_config(seed=seed)).run()
+        gc.collect()
+        assert graphs and graphs[0]() is None
+
+        runs = report.backend.runs
+        assert [run.bundle for run in runs.values()] == report.dispatcher.bundle_reports
+        started = 0
+        for run in runs.values():
+            assert run.finalized
+            assert run.schedule is None and run.rows is None and run.materials is None
+            accounting = AccountingRecord.from_text(run.artifacts.accounting_text)
+            assert accounting.bundle_id == run.bundle.bundle_id
+            assert list(accounting.rows) == run.bundle.job_ids
+            assert sorted(run.artifacts.sentinels) == sorted(run.bundle.job_ids)
+            if run.started_at is not None:
+                started += 1
+                assert run.started_at <= run.finalized_at
+        assert started == sum(" BUNDLE_START " in line for line in report.log)
+        assert started < len(runs)  # some bundles were cancelled while queued
 
 
 class TestCancelWhileQueued:

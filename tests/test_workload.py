@@ -123,6 +123,12 @@ class TestSitesParsing:
             ("[fault]\nkind = GLOBAL_STALL\ntarget = s\n", 1, "window"),
             ("[fault]\nkind = GLOBAL_STALL\ntarget = s\nwindow = 5\n", 4, "START END"),
             ("[fault]\nkind = MONSOON\ntarget = s\n", 2, "unknown fault kind"),
+            ("[site s]\ncores_per_node = 4\nmax_walltime_minutes = 9\n"
+             "[site s]\n", 4, "duplicate site id 's'"),
+            ("[site s]\ncores_per_node = 4\nmax_walltime_minutes = 9\n"
+             "cores_per_node = 8\n", 4, "duplicate key 'cores_per_node'"),
+            ("[sim]\ntick_minutes = 5\ntick_minutes = 10\n", 3, "duplicate key 'tick_minutes'"),
+            ("[fault]\nkind = NODE_FAULT\ntarget = j\ntarget = k\n", 4, "duplicate key 'target'"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, lineno, fragment):
@@ -136,7 +142,7 @@ class TestSitesParsing:
             "[site s]\ncores_per_node = 4\nmax_walltime_minutes = 9\n"
             "[site s]\ncores_per_node = 8\nmax_walltime_minutes = 9\n"
         )
-        with pytest.raises(ParseError, match="duplicate site ids"):
+        with pytest.raises(ParseError, match="^line 4: duplicate site id 's'$"):
             parse_sites_text(text)
 
     def test_invalid_window_bounds_rejected(self):
