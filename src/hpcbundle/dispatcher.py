@@ -16,7 +16,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, NamedTuple, Protocol
 
 from .bundling import Bundle, BundlePolicy, ExecutionSite, SiteRegistry
 from .stepgraph import StepGraph, step_graph, emit_make
@@ -66,9 +66,12 @@ _ALLOWED_TRANSITIONS: dict[JobState, set[JobState]] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class JobSpec:
-    """One requested job: a model/property pairing plus its resource ask."""
+class JobSpec(NamedTuple):
+    """One requested job: a model/property pairing plus its resource ask.
+
+    The fields, in order, are the workload CSV columns.  A named tuple is
+    built in well under half the time of a frozen dataclass.
+    """
 
     job_id: str
     test_id: str

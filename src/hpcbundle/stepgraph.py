@@ -10,6 +10,7 @@ job.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -82,34 +83,41 @@ def transitive_reduction(nodes: Iterable[str], relation: Relation) -> StepGraph:
 
     An edge is dropped when a longer path between its endpoints exists;
     any execution order respecting the reduction still respects the full
-    relation.  ``relation`` must be acyclic.
+    relation.  ``relation`` must be acyclic.  Nodes are visited in reverse
+    topological order (Kahn's algorithm, no recursion), each keeping its
+    descendants as an int bitset; an edge ``(i, m)`` is direct unless ``m``
+    descends from another successor of ``i``.
     """
     node_list = tuple(sorted(set(nodes) | {n for edge in relation for n in edge}))
-    succ: dict[str, set[str]] = {n: set() for n in node_list}
+    index = {n: i for i, n in enumerate(node_list)}
+    succ: list[list[int]] = [[] for _ in node_list]
+    indegree = [0] * len(node_list)
     for pre, post in relation:
-        succ[pre].add(post)
+        succ[index[pre]].append(index[post])
+        indegree[index[post]] += 1
+    ready = [i for i, d in enumerate(indegree) if d == 0]
+    order: list[int] = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for m in succ[i]:
+            indegree[m] -= 1
+            if not indegree[m]:
+                heapq.heappush(ready, m)
+    if len(order) != len(node_list):
+        raise ValueError("relation has a cycle")
 
-    reach: dict[str, set[str]] = {}
-
-    def descendants(n: str) -> set[str]:
-        cached = reach.get(n)
-        if cached is not None:
-            return cached
-        reach[n] = set()  # cycle guard; relation is acyclic by construction
-        out: set[str] = set()
-        for m in succ[n]:
-            out.add(m)
-            out |= descendants(m)
-        reach[n] = out
-        return out
-
+    reach = [0] * len(node_list)
     edges: set[tuple[str, str]] = set()
-    for pre, post in relation:
-        redundant = any(
-            post in descendants(mid) for mid in succ[pre] if mid != post
-        )
-        if not redundant:
-            edges.add((pre, post))
+    for i in reversed(order):
+        below = 0  # strict descendants of i, once both loops are done
+        for m in succ[i]:
+            below |= reach[m]
+        for m in succ[i]:
+            if not below >> m & 1:
+                edges.add((node_list[i], node_list[m]))
+            below |= 1 << m
+        reach[i] = below
     return StepGraph(nodes=node_list, edges=frozenset(edges))
 
 

@@ -26,15 +26,7 @@ from .simcluster import (
     SimConfig,
 )
 
-WORKLOAD_COLUMNS = [
-    "job_id",
-    "test_id",
-    "model_id",
-    "cores",
-    "requested_minutes",
-    "true_runtime_minutes",
-    "arrival_minute",
-]
+WORKLOAD_COLUMNS = list(JobSpec._fields)
 
 _POLICY_KEYS = {
     "min_jobs": ("min_jobs", int),
@@ -114,6 +106,7 @@ def parse_sites_text(text: str) -> SiteFileContents:
     section_keys: set[str] = set()
     site_ids: set[str] = set()
     section_line = 0
+    sim_seen = False
 
     def close_section() -> None:
         if section == "site":
@@ -134,7 +127,9 @@ def parse_sites_text(text: str) -> SiteFileContents:
             header = line[1:-1].strip()
             section_line = lineno
             if header == "sim":
-                section = "sim"
+                if sim_seen:
+                    _fail(lineno, "duplicate [sim] section")
+                section, sim_seen = "sim", True
             elif header == "fault":
                 section = "fault"
             elif header == "site" or header.startswith("site "):
@@ -265,19 +260,22 @@ def parse_sites_file(path: str | Path) -> SiteFileContents:
 
 
 def parse_workload_text(text: str) -> list[JobSpec]:
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames != WORKLOAD_COLUMNS:
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header != WORKLOAD_COLUMNS:
         raise ParseError(
             f"line 1: expected header {','.join(WORKLOAD_COLUMNS)}, "
-            f"got {','.join(reader.fieldnames or ['<empty>'])}"
+            f"got {','.join(header or ['<empty>'])}"
         )
     jobs: list[JobSpec] = []
     seen: set[str] = set()
     for row in reader:
+        if not row:
+            continue  # a blank line
         lineno = reader.line_num
-        if None in row.values() or None in row:
+        if len(row) != 7:
             _fail(lineno, "wrong number of fields")
-        job_id = row["job_id"]
+        job_id, test_id, model_id, cores, requested, true_runtime, arrival = row
         # Accounting lines are split on whitespace, one field per job id;
         # the split is also empty for an empty id.
         if job_id.split() != [job_id]:
@@ -285,25 +283,16 @@ def parse_workload_text(text: str) -> list[JobSpec]:
         if job_id in seen:
             _fail(lineno, f"duplicate job_id {job_id!r}")
         seen.add(job_id)
-        cores = _parse_int(row["cores"], lineno)
-        requested = _parse_int(row["requested_minutes"], lineno)
-        true_runtime = _parse_int(row["true_runtime_minutes"], lineno)
-        arrival = _parse_int(row["arrival_minute"], lineno)
+        try:
+            cores, requested, true_runtime, arrival = (
+                int(cores), int(requested), int(true_runtime), int(arrival))
+        except ValueError:  # name the first bad column
+            cores, requested, true_runtime, arrival = (_parse_int(v, lineno) for v in row[3:])
         if cores < 1 or requested < 1 or true_runtime < 1:
             _fail(lineno, "cores, requested and true runtime must be positive")
         if arrival < 0:
             _fail(lineno, "arrival_minute must be non-negative")
-        jobs.append(
-            JobSpec(
-                job_id=job_id,
-                test_id=row["test_id"],
-                model_id=row["model_id"],
-                cores=cores,
-                requested_minutes=requested,
-                true_runtime_minutes=true_runtime,
-                arrival_minute=arrival,
-            )
-        )
+        jobs.append(JobSpec(job_id, test_id, model_id, cores, requested, true_runtime, arrival))
     return jobs
 
 
@@ -311,18 +300,7 @@ def emit_workload(jobs: Sequence[JobSpec]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(WORKLOAD_COLUMNS)
-    for job in jobs:
-        writer.writerow(
-            [
-                job.job_id,
-                job.test_id,
-                job.model_id,
-                job.cores,
-                job.requested_minutes,
-                job.true_runtime_minutes,
-                job.arrival_minute,
-            ]
-        )
+    writer.writerows(jobs)
     return out.getvalue()
 
 

@@ -13,13 +13,28 @@ strips; both must hold the same set of free rectangles.
 The stall-window references are the linear definitions of the
 simulator's virtual-time arithmetic: each walks every window of a site
 from the first.  The simulator bisects the sorted windows instead.
+
+The transitive-reduction oracle computes each node's descendants by
+memoised recursion; the production version walks a topological order
+with bitsets and has no recursion depth limit.
+
+The workload-CSV oracle parses through ``csv.DictReader`` and converts
+one column at a time; the production parser makes one pass over
+``csv.reader`` rows.  Both must return the same jobs or raise the same
+message.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 
+from hpcbundle.dispatcher import JobSpec
 from hpcbundle.packing import FreeRect, Placement, ResourceRect
+from hpcbundle.stepgraph import Relation, StepGraph
+from hpcbundle.workload import WORKLOAD_COLUMNS, ParseError
 
 
 class OracleBin:
@@ -159,3 +174,86 @@ def stall_progress(windows: list[tuple[int, int]], start: int, now: int) -> int:
 def stall_suppressed(windows: list[tuple[int, int]], at: int) -> bool:
     """True while ``at`` lies inside a window."""
     return any(s <= at < e for s, e in windows)
+
+
+def transitive_reduction(nodes, relation: Relation) -> StepGraph:
+    """Direct edges of the acyclic ``relation``, by recursive descendants."""
+    node_list = tuple(sorted(set(nodes) | {n for edge in relation for n in edge}))
+    succ: dict[str, set[str]] = {n: set() for n in node_list}
+    for pre, post in relation:
+        succ[pre].add(post)
+
+    reach: dict[str, set[str]] = {}
+
+    def descendants(n: str) -> set[str]:
+        cached = reach.get(n)
+        if cached is not None:
+            return cached
+        reach[n] = set()  # cycle guard; relation is acyclic by construction
+        out: set[str] = set()
+        for m in succ[n]:
+            out.add(m)
+            out |= descendants(m)
+        reach[n] = out
+        return out
+
+    edges: set[tuple[str, str]] = set()
+    for pre, post in relation:
+        redundant = any(
+            post in descendants(mid) for mid in succ[pre] if mid != post
+        )
+        if not redundant:
+            edges.add((pre, post))
+    return StepGraph(nodes=node_list, edges=frozenset(edges))
+
+
+def parse_workload_text(text: str) -> list[JobSpec]:
+    """Workload CSV through ``csv.DictReader``, one column at a time."""
+
+    def fail(lineno: int, message: str) -> None:
+        raise ParseError(f"line {lineno}: {message}")
+
+    def parse_int(value: str, lineno: int) -> int:
+        try:
+            return int(value)
+        except ValueError:
+            fail(lineno, f"expected an integer, got {value!r}")
+
+    reader = csv.DictReader(io.StringIO(text))
+    if reader.fieldnames != WORKLOAD_COLUMNS:
+        raise ParseError(
+            f"line 1: expected header {','.join(WORKLOAD_COLUMNS)}, "
+            f"got {','.join(reader.fieldnames or ['<empty>'])}"
+        )
+    jobs: list[JobSpec] = []
+    seen: set[str] = set()
+    for row in reader:
+        lineno = reader.line_num
+        if None in row.values() or None in row:
+            fail(lineno, "wrong number of fields")
+        job_id = row["job_id"]
+        if job_id.split() != [job_id]:
+            fail(lineno, f"job_id {job_id!r} must be non-empty with no whitespace")
+        if job_id in seen:
+            fail(lineno, f"duplicate job_id {job_id!r}")
+        seen.add(job_id)
+        cores = parse_int(row["cores"], lineno)
+        requested = parse_int(row["requested_minutes"], lineno)
+        true_runtime = parse_int(row["true_runtime_minutes"], lineno)
+        arrival = parse_int(row["arrival_minute"], lineno)
+        if cores < 1 or requested < 1 or true_runtime < 1:
+            fail(lineno, "cores, requested and true runtime must be positive")
+        if arrival < 0:
+            fail(lineno, "arrival_minute must be non-negative")
+        jobs.append(
+            JobSpec(
+                job_id=job_id,
+                test_id=row["test_id"],
+                model_id=row["model_id"],
+                cores=cores,
+                requested_minutes=requested,
+                true_runtime_minutes=true_runtime,
+                arrival_minute=arrival,
+            )
+        )
+    return jobs

@@ -82,6 +82,23 @@ def spec(job_id="j", cores=3, minutes=30, **kwargs):
     )
 
 
+class TestJobSpec:
+    def test_construction_defaults_and_equality(self):
+        positional = JobSpec("j", "t", "m", 3, 30)
+        keyword = JobSpec(model_id="m", job_id="j", requested_minutes=30, cores=3, test_id="t")
+        assert positional == keyword == spec()
+        assert (positional.true_runtime_minutes, positional.arrival_minute) == (0, 0)
+        full = JobSpec("j", "t", "m", 3, 30, true_runtime_minutes=25, arrival_minute=7)
+        assert full == JobSpec("j", "t", "m", 3, 30, 25, 7) != positional
+        assert full.job_id == "j" and full.cores == 3 and full.requested_minutes == 30
+
+    def test_fields_cannot_be_assigned(self):
+        job = spec()
+        with pytest.raises(AttributeError):
+            job.cores = 4
+        assert job.cores == 3
+
+
 class TestIngest:
     def test_happy_path_to_completed(self):
         dispatcher, backend, sink = build()

@@ -2,8 +2,10 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from hpcbundle.packing import PackingBin, Placement, ResourceRect
 from hpcbundle.stepgraph import (
     beneath_relation,
@@ -92,6 +94,47 @@ class TestTransitiveReduction:
             return reach
 
         assert closure(graph.edges) == closure(relation) >= relation
+
+    def test_tall_stack_reduces_without_recursion(self):
+        # Each 2-core job has two 1-core successors that share the next
+        # 2-core job: 6,000 members in one chain of 4,000 levels.  The
+        # recursive descendants walk raised RecursionError here.
+        groups = 2000
+        bin_ = PackingBin(2, 2 * groups)
+        members = [(f"g{g:04d}{k}", bin_.insert(ResourceRect(cores, 1)))
+                   for g in range(groups) for k, cores in enumerate((2, 1, 1))]
+        expected = set()
+        for g in range(groups):
+            expected |= {(f"g{g:04d}0", f"g{g:04d}1"), (f"g{g:04d}0", f"g{g:04d}2")}
+            if g + 1 < groups:
+                expected |= {(f"g{g:04d}1", f"g{g + 1:04d}0"),
+                             (f"g{g:04d}2", f"g{g + 1:04d}0")}
+        assert step_graph(members).edges == expected
+
+    def test_cyclic_relation_rejected(self):
+        with pytest.raises(ValueError, match="cycle"):
+            transitive_reduction(["a", "b", "c"], {("a", "b"), ("b", "c"), ("c", "b")})
+
+
+@st.composite
+def acyclic_relations(draw):
+    """Node names and a random DAG over them, edges pointing along a
+    shuffled rank so that name order is not a topological order."""
+    names = draw(st.lists(st.text("abcdefgh", min_size=1, max_size=3),
+                          min_size=1, max_size=24, unique=True))
+    ranked = draw(st.permutations(names))
+    pairs = st.tuples(st.integers(0, len(ranked) - 1), st.integers(0, len(ranked) - 1))
+    relation = {(ranked[min(i, j)], ranked[max(i, j)])
+                for i, j in draw(st.lists(pairs, max_size=80)) if i != j}
+    nodes = draw(st.lists(st.sampled_from(names), max_size=len(names)))
+    return nodes, relation
+
+
+@settings(max_examples=300, deadline=None)
+@given(acyclic_relations())
+def test_reduction_matches_recursive_oracle(case):
+    nodes, relation = case
+    assert transitive_reduction(nodes, relation) == reference.transitive_reduction(nodes, relation)
 
 
 class TestScheduleFeasibility:

@@ -1,7 +1,9 @@
 """Sites-file and workload-CSV parsing, emission, and error reporting."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference
 from hpcbundle.bundling import BundlePolicy, ExecutionSite
 from hpcbundle.dispatcher import JobSpec
 from hpcbundle.simcluster import (
@@ -12,6 +14,7 @@ from hpcbundle.simcluster import (
     QueueWait,
 )
 from hpcbundle.workload import (
+    WORKLOAD_COLUMNS,
     ParseError,
     SiteFileContents,
     emit_sites,
@@ -128,6 +131,9 @@ class TestSitesParsing:
             ("[site s]\ncores_per_node = 4\nmax_walltime_minutes = 9\n"
              "cores_per_node = 8\n", 4, "duplicate key 'cores_per_node'"),
             ("[sim]\ntick_minutes = 5\ntick_minutes = 10\n", 3, "duplicate key 'tick_minutes'"),
+            ("[sim]\ntick_minutes = 5\n[sim]\ntick_minutes = 10\n", 3, "duplicate [sim] section"),
+            ("[sim]\ntick_minutes = 5\n[site s]\ncores_per_node = 4\n"
+             "max_walltime_minutes = 9\n[sim]\ntick_minutes = 10\n", 6, "duplicate [sim] section"),
             ("[fault]\nkind = NODE_FAULT\ntarget = j\ntarget = k\n", 4, "duplicate key 'target'"),
         ],
     )
@@ -215,6 +221,81 @@ class TestWorkloadParsing:
             parse_workload_text("id,cores\n1,4\n")
         with pytest.raises(ParseError):
             parse_workload_text("")
+
+    def test_blank_rows_are_skipped(self):
+        header, j1, j2 = WORKLOAD_TEXT.splitlines()
+        text = "\n".join([header, "", j1, "", "", j2, "", ""]) + "\n"
+        assert parse_workload_text(text) == parse_workload_text(WORKLOAD_TEXT)
+        # Line numbers still count the blank lines.
+        with pytest.raises(ParseError, match="^line 5: expected an integer, got 'x'$"):
+            parse_workload_text("\n".join([header, j1, "", "", "J9,t,m,x,1,1,0"]))
+
+
+# Text cells, some of which must be quoted; a quoted line break moves the
+# line numbers of the rows after it.
+_TEXT_CELLS = st.sampled_from(["T", "", "a,b", 'say "hi"', "two\nlines", "x y"])
+# Each stays a bad integer with the column number appended.
+_BAD_INTS = st.sampled_from(["x", "1.", "4x", "0x", "_"])
+
+
+def _cell(value, quote):
+    if quote or any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+@st.composite
+def workload_texts(draw):
+    """Workload CSV with at most one fault per row: blank rows, CRLF line
+    ends, quoted cells, short and long rows, bad or empty integers (bad
+    ones sometimes in two columns), bad or duplicate ids, zero sizes and
+    negative arrivals."""
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    header = WORKLOAD_COLUMNS if draw(st.integers(0, 4)) else draw(st.sampled_from(
+        [WORKLOAD_COLUMNS[:-1], WORKLOAD_COLUMNS[::-1], [], None]))
+    lines = [] if header is None else [",".join(header)]
+    ids: list[str] = []
+    for i in range(draw(st.integers(0, 6))):
+        lines += [""] * draw(st.integers(0, 2))
+        row = [f"J{i}", draw(_TEXT_CELLS), draw(_TEXT_CELLS),
+               *(str(draw(st.integers(1, 9))) for _ in range(3)),
+               str(draw(st.integers(0, 60)))]
+        fault = draw(st.none() | st.sampled_from(
+            ["short", "long", "bad_int", "no_int", "bad_id", "dup", "zero", "negative"]))
+        if fault == "short":
+            row = row[:draw(st.integers(1, 6))]
+        elif fault == "long":
+            row.append(draw(_TEXT_CELLS))
+        elif fault == "bad_int":  # the column number tells which is named
+            for col in draw(st.sets(st.integers(3, 6), min_size=1, max_size=2)):
+                row[col] = draw(_BAD_INTS) + str(col)
+        elif fault == "no_int":
+            row[draw(st.integers(3, 6))] = draw(st.sampled_from(["", " "]))
+        elif fault == "bad_id":
+            row[0] = draw(st.sampled_from(["", " ", "J 1", "\tJ1", "J1 "]))
+        elif fault == "dup" and ids:
+            row[0] = draw(st.sampled_from(ids))
+        elif fault == "zero":
+            row[draw(st.integers(3, 5))] = "0"
+        elif fault == "negative":
+            row[6] = "-1"
+        ids.append(row[0])
+        lines.append(",".join(_cell(v, draw(st.booleans())) for v in row))
+    lines += [""] * draw(st.integers(0, 2))
+    return end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(workload_texts())
+def test_parser_matches_dictreader_oracle(text):
+    assert _outcome(parse_workload_text, text) == _outcome(reference.parse_workload_text, text)
 
 
 class TestPolicyParsing:
