@@ -3,6 +3,7 @@
 A refactor must leave every hash here unchanged.  A change that alters
 behaviour on purpose updates the hash and says why in CHANGES.md.  On a
 mismatch the assertion message shows all three actual hashes of the case.
+The ``faults`` case also pins the bytes of its per-bundle artifact tree.
 """
 
 import hashlib
@@ -18,6 +19,7 @@ from hpcbundle.cli import main
 DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 HEADER = "job_id,test_id,model_id,cores,requested_minutes,true_runtime_minutes,arrival_minute"
 OUTPUTS = ("events.log", "metrics.csv", "jobs.csv")
+ARTIFACT_FILES = ("accounting.txt", "Makefile", "output.txt", "kim-done")
 
 
 def criterion_11_workload() -> str:
@@ -110,6 +112,10 @@ GOLDEN = {
 }
 
 
+# sha256 of the ``faults`` case's per-bundle tree (see ``artifact_tree_digest``)
+FAULTS_ARTIFACT_TREE = "da14e0ee5ab3805daea6ab9ca89593a2321f3d05288f738c0a9554d02f2e66de"
+
+
 def simulate(tmp_path: Path, case: str) -> tuple[str, ...]:
     make_inputs, seed, policy, _ = GOLDEN[case]
     sites_text, workload_text = make_inputs()
@@ -129,3 +135,30 @@ def test_outputs_match_golden_hashes(tmp_path, capsys, case):
     actual = simulate(tmp_path, case)
     capsys.readouterr()
     assert actual == GOLDEN[case][3], f"{case}: actual hashes {actual}"
+
+
+def artifact_tree_digest(out: Path) -> str:
+    """sha256 over every per-bundle path, sorted, and each artifact file's bytes.
+
+    Every directory and file under a bundle directory contributes its
+    relative path, so empty step directories count too; the files named
+    in ``ARTIFACT_FILES`` also contribute their length and bytes.
+    """
+    digest = hashlib.sha256()
+    paths = sorted(path.relative_to(out).as_posix()
+                   for bundle_dir in out.iterdir() if bundle_dir.is_dir()
+                   for path in [bundle_dir, *bundle_dir.rglob("*")])
+    for rel in paths:
+        path = out / rel
+        digest.update(rel.encode() + b"\0")
+        if path.name in ARTIFACT_FILES:
+            data = path.read_bytes()
+            digest.update(f"{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
+def test_fault_artifact_tree_matches_golden_hash(tmp_path, capsys):
+    simulate(tmp_path, "faults")
+    capsys.readouterr()
+    actual = artifact_tree_digest(tmp_path / "out")
+    assert actual == FAULTS_ARTIFACT_TREE, f"faults artifact tree: actual hash {actual}"
