@@ -13,6 +13,7 @@ The same run is available from the command line:
         --policy min_jobs=3,min_fill=0.4,flush=40 --out /tmp/demo-run
 """
 
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -51,7 +52,7 @@ def main() -> None:
         print(f"  {line}")
 
     print("\nfirst events:")
-    for line in report.log[:12]:
+    for line in itertools.islice(report.log, 12):
         print(f"  {line}")
 
 

@@ -12,7 +12,6 @@ the wallclock they requested.
 from __future__ import annotations
 
 import enum
-import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,8 +19,6 @@ from typing import Callable, NamedTuple, Protocol
 
 from .bundling import Bundle, BundlePolicy, ExecutionSite, SiteRegistry
 from .stepgraph import StepGraph, step_graph, emit_make
-
-logger = logging.getLogger(__name__)
 
 SENTINEL_FILENAME = "kim-done"
 ACCOUNTING_FILENAME = "accounting.txt"
@@ -389,7 +386,6 @@ class Dispatcher:
             return
         bundle = self.in_flight.get(handle)
         if bundle is None:
-            logger.warning("event %s for unknown handle %s ignored", kind, handle)
             self._record(now, "UNKNOWN_EVENT", f"{kind} for unknown {handle} ignored")
             return
         bundle.last_event_at = now
@@ -426,7 +422,6 @@ class Dispatcher:
             accounting = AccountingRecord.from_text(artifacts.accounting_text)
             rows = accounting.rows
         except ValueError as exc:
-            logger.warning("accounting for %s unparsable: %s", handle, exc)
             self._record(now, "BAD_ACCOUNTING", f"{bundle.bundle_id}: {exc}")
             rows = {}
 

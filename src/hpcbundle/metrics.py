@@ -13,7 +13,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .dispatcher import Dispatcher, JobState
 
@@ -41,61 +41,31 @@ JOBS_COLUMNS = [
     "turnaround_minutes",
 ]
 
-_OUTCOME_COLUMN = {
-    "COMPLETED": "n_completed",
-    "TIMEOUT": "n_timeout",
-    "NODE_FAULT": "n_node_fault",
-    "CANCELLED": "n_cancelled",
-    "FAILED": "n_failed",
-}
+# Outcome statuses in the order of the n_* columns of METRICS_COLUMNS.
+_OUTCOME_ORDER = ("COMPLETED", "TIMEOUT", "NODE_FAULT", "CANCELLED", "FAILED")
 
 
-def bundle_rows(dispatcher: Dispatcher) -> list[dict[str, object]]:
-    rows = []
+def bundle_rows(dispatcher: Dispatcher) -> Iterator[tuple[object, ...]]:
+    """One metrics.csv row per submitted bundle, in METRICS_COLUMNS order."""
     for bundle in dispatcher.bundle_reports:
-        row: dict[str, object] = {
-            "bundle_id": bundle.bundle_id,
-            "site_id": bundle.site_id,
-            "n_jobs": bundle.n_jobs,
-            "request_cores": bundle.request_cores,
-            "request_minutes": bundle.request_minutes,
-            "waste_fraction": f"{bundle.waste_fraction():.6f}",
-            "n_completed": 0,
-            "n_timeout": 0,
-            "n_node_fault": 0,
-            "n_cancelled": 0,
-            "n_failed": 0,
-        }
-        for status, count in bundle.outcome_counts.items():
-            row[_OUTCOME_COLUMN[status]] = count
-        rows.append(row)
-    return rows
+        counts = bundle.outcome_counts
+        yield (bundle.bundle_id, bundle.site_id, bundle.n_jobs, bundle.request_cores,
+               bundle.request_minutes, f"{bundle.waste_fraction():.6f}",
+               *[counts[status] for status in _OUTCOME_ORDER])
 
 
-def job_rows(dispatcher: Dispatcher) -> list[dict[str, object]]:
-    rows = []
+def job_rows(dispatcher: Dispatcher) -> Iterator[tuple[object, ...]]:
+    """One jobs.csv row per job, in JOBS_COLUMNS order; live jobs have no turnaround."""
     for job in dispatcher.jobs.values():
-        turnaround = ""
-        if job.terminal_at is not None:
-            turnaround = job.terminal_at - job.ingested_at
-        rows.append(
-            {
-                "job_id": job.job_id,
-                "test_id": job.test_id,
-                "model_id": job.model_id,
-                "state": job.state.value,
-                "attempts": job.attempts,
-                "doublings": job.doublings,
-                "turnaround_minutes": turnaround,
-            }
-        )
-    return rows
+        turnaround = "" if job.terminal_at is None else job.terminal_at - job.ingested_at
+        yield (job.job_id, job.test_id, job.model_id, job.state.value,
+               job.attempts, job.doublings, turnaround)
 
 
-def _csv_text(columns: Sequence[str], rows: Iterable[dict[str, object]]) -> str:
+def _csv_text(columns: Sequence[str], rows: Iterable[tuple[object, ...]]) -> str:
     out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=list(columns), lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
     writer.writerows(rows)
     return out.getvalue()
 

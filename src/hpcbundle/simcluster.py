@@ -23,7 +23,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from .bundling import Bundle, BundlePolicy, ExecutionSite, SiteRegistry
 from .dispatcher import (
@@ -60,6 +60,9 @@ EV_BUNDLE_END = "BUNDLE_END"
 
 TIMEOUT_EXIT_CODE = 124
 CANCEL_EXIT_CODE = 143
+
+# Event-log lines per joined text chunk while a run records.
+LOG_CHUNK_LINES = 4096
 
 
 def derive_rng(seed: int, label: str) -> random.Random:
@@ -185,14 +188,14 @@ class _BundleRun:
     """Mutable per-submission state inside the simulator.
 
     Finalization releases the working state: ``schedule``, ``rows`` and
-    ``materials`` become ``None``, and ``sentinels`` and ``outputs`` live
-    on as ``artifacts.sentinels`` and ``artifacts.outputs``.  A finished
-    run keeps ``handle``, ``bundle``, ``site_id``, ``wait``,
-    ``started_at``, ``finalized_at`` and ``artifacts``.
+    ``materials`` become ``None``, and ``sentinels`` live on as
+    ``artifacts.sentinels``.  A finished run keeps ``handle``, ``bundle``,
+    ``site_id``, ``wait``, ``started_at``, ``finalized_at`` and
+    ``artifacts``.
     """
 
     __slots__ = ("handle", "bundle", "materials", "site_id", "wait", "started_at",
-                 "finalized_at", "schedule", "rows", "sentinels", "outputs", "artifacts")
+                 "finalized_at", "schedule", "rows", "sentinels", "artifacts")
 
     def __init__(self, handle: str, bundle: Bundle, materials: BundleMaterials, wait: int):
         self.handle = handle
@@ -205,7 +208,6 @@ class _BundleRun:
         self.schedule: dict[str, StepSchedule] | None = {}
         self.rows: dict[str, tuple[str, int, int]] | None = {}
         self.sentinels: dict[str, bool] | None = {}
-        self.outputs: dict[str, str] | None = {}
         self.artifacts: BundleArtifacts | None = None
 
     @property
@@ -392,7 +394,6 @@ class SimCluster:
             sentinel = True
         run.rows[job_id] = (word, sched.duration, code)
         run.sentinels[job_id] = sentinel
-        run.outputs[job_id] = f"{job_id}: {word} after {sched.duration} minutes\n"
         self.sim.record(now, EV_STEP_END,
                         f"{run.bundle.bundle_id}/{job_id} {word} elapsed {sched.duration}")
 
@@ -419,17 +420,14 @@ class SimCluster:
             bundle_id=run.bundle.bundle_id,
             rows={job_id: run.rows[job_id] for job_id, _ in run.bundle.members},
         )
-        # Nothing writes the run's dicts after this point, so the artifacts
-        # take them as they are.
-        run.artifacts = BundleArtifacts(
-            accounting_text=accounting.to_text(),
-            sentinels=run.sentinels,
-            outputs=run.outputs,
-        )
+        # Nothing writes the sentinels after this point, so the artifacts
+        # take the dict as it is.
+        run.artifacts = BundleArtifacts(accounting_text=accounting.to_text(),
+                                        sentinels=run.sentinels)
         self.sim.record(now, EV_BUNDLE_END,
                         f"{run.bundle.bundle_id} {'killed' if killed else 'complete'}")
         self.sim.materialize(run)
-        run.schedule = run.rows = run.materials = run.sentinels = run.outputs = None
+        run.schedule = run.rows = run.materials = run.sentinels = None
         if notify:
             self.sim.push(now, self.sim.on_notify, run.handle, EVENT_FINISHED)
 
@@ -441,17 +439,23 @@ class SimReport:
     final_minute: int
     horizon_exhausted: bool
     live_at_end: int
-    log: list[str]
+    event_log_text: str  # one newline-terminated line per event; "\n" if none
     dispatcher: Dispatcher
     sink: CollectingSink
     backend: SimCluster
 
     @property
-    def event_log_text(self) -> str:
-        # One join over the lines plus an empty last one gives the final
-        # newline without a second full-size copy of the text; an empty
-        # log renders as one newline.
-        return "\n".join([*(self.log or [""]), ""])
+    def log(self) -> Iterator[str]:
+        """The event lines without newlines, sliced lazily from the text.
+
+        Every access starts a new pass, and no list of lines is built.
+        """
+        text = self.event_log_text
+        start, end = 0, text.find("\n")
+        while end > start:  # no line is empty, so a lone newline ends the pass
+            yield text[start:end]
+            start = end + 1
+            end = text.find("\n", start)
 
 
 class Simulation:
@@ -474,7 +478,9 @@ class Simulation:
         self.workload = list(workload)
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.now = 0
-        self.log: list[str] = []
+        # The event log: lines pending a join, and the chunks joined so far.
+        self._pending: list[str] = []
+        self._chunks: list[str] = []
         self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._true: dict[str, int] = {}
@@ -499,7 +505,11 @@ class Simulation:
         heapq.heappush(self._heap, (time, self._seq, handler, args))
 
     def record(self, now: int, kind: str, detail: str) -> None:
-        self.log.append(f"{now:>8} {kind:<14} {detail}")
+        pending = self._pending
+        pending.append(f"{now:>8} {kind:<14} {detail}\n")
+        if len(pending) == LOG_CHUNK_LINES:
+            self._chunks.append("".join(pending))
+            pending.clear()
 
     def true_runtime(self, job_id: str) -> int:
         return self._true[job_id]
@@ -507,11 +517,17 @@ class Simulation:
     # -- artifact materialization ---------------------------------------
 
     def materialize(self, run: _BundleRun) -> None:
+        # Each concluded step's output.txt is rendered from its accounting
+        # row as it is written; a cancelled step has none.
         if self.out_dir is None or run.artifacts is None:
             return
         bundle_dir = self.out_dir / run.bundle.bundle_id
         run.artifacts.write_to(bundle_dir)
         (bundle_dir / MAKEFILE_FILENAME).write_text(run.materials.make_text)
+        for job_id, (word, elapsed, _) in run.rows.items():
+            if word != ACCT_CANCELLED:
+                (bundle_dir / job_id / "output.txt").write_text(
+                    f"{job_id}: {word} after {elapsed} minutes\n")
 
     # -- main loop -------------------------------------------------------
 
@@ -534,11 +550,14 @@ class Simulation:
         if horizon_exhausted and live:
             self.record(self.now, "HORIZON",
                         f"stopped at {self.config.horizon_minutes} with {live} live jobs")
+        self._chunks.append("".join(self._pending))
+        text = "".join(self._chunks) or "\n"
+        self._pending, self._chunks = [], []
         return SimReport(
             final_minute=self.now,
             horizon_exhausted=horizon_exhausted,
             live_at_end=live,
-            log=self.log,
+            event_log_text=text,
             dispatcher=self.dispatcher,
             sink=self.sink,
             backend=self.backend,

@@ -256,7 +256,7 @@ def emit_sites(contents: SiteFileContents) -> str:
 
 
 def parse_sites_file(path: str | Path) -> SiteFileContents:
-    return parse_sites_text(Path(path).read_text())
+    return parse_sites_text(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def parse_workload_text(text: str) -> list[JobSpec]:
@@ -305,7 +305,7 @@ def emit_workload(jobs: Sequence[JobSpec]) -> str:
 
 
 def parse_workload_file(path: str | Path) -> list[JobSpec]:
-    return parse_workload_text(Path(path).read_text())
+    return parse_workload_text(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def parse_policy(text: str) -> BundlePolicy:

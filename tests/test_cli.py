@@ -126,6 +126,20 @@ class TestSimulate:
             logs.append((out_dir / "events.log").read_bytes())
         assert logs[0] == logs[1]
 
+    @pytest.mark.parametrize("which", ["sites", "workload"])
+    def test_byte_order_mark_is_ignored(self, inputs, tmp_path, capsys, which):
+        # Editors on some systems save UTF-8 with a leading byte-order mark.
+        sites, workload = inputs
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        args = ["simulate", "--seed", "3", "--sites", str(sites),
+                "--workload", str(workload), "--out", str(plain)]
+        assert main(args) == 0
+        path = sites if which == "sites" else workload
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main([*args[:-1], str(marked)]) == 0, capsys.readouterr().err
+        for name in ("events.log", "metrics.csv", "jobs.csv"):
+            assert (marked / name).read_bytes() == (plain / name).read_bytes()
+
     def test_empty_workload(self, inputs, tmp_path, capsys):
         sites, _ = inputs
         empty = tmp_path / "empty.csv"

@@ -6,6 +6,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hpcbundle import simcluster
 from hpcbundle.bundling import BundlePolicy, ExecutionSite
 from hpcbundle.dispatcher import JobSpec, JobState
 from hpcbundle.simcluster import (
@@ -26,6 +27,7 @@ from hpcbundle.workload import parse_policy, parse_sites_text, parse_workload_te
 
 from reference import stall_advance, stall_progress, stall_suppressed
 from test_golden import GOLDEN
+from test_tracer_contract import load_bench_module
 
 
 def job(job_id, cores=3, req=30, true=20, arrival=0):
@@ -528,6 +530,55 @@ class TestDeterminism:
             report = self.build(seed).run()
             assert report.dispatcher.all_terminal()
             assert report.dispatcher.conservation_ok()
+
+
+def capture_records(monkeypatch) -> list[str]:
+    """Wrap ``Simulation.record`` and collect each line as it used to be kept."""
+    lines: list[str] = []
+    original = vars(Simulation)["record"]
+
+    def record(self, now, kind, detail):
+        lines.append(f"{now:>8} {kind:<14} {detail}")
+        original(self, now, kind, detail)
+
+    monkeypatch.setattr(Simulation, "record", record)
+    return lines
+
+
+def stream_simulation(n_jobs: int, seed: int = 1) -> Simulation:
+    inputs = load_bench_module("workloads").stream(seed, n_jobs=n_jobs)
+    contents = parse_sites_text(inputs.sites_text)
+    return Simulation(contents.sites, parse_workload_text(inputs.workload_text),
+                      parse_policy(inputs.policy_text), contents.build_config(seed=seed))
+
+
+class TestEventLogText:
+    """The log is kept as text, joined every LOG_CHUNK_LINES lines."""
+
+    def test_text_across_a_chunk_boundary(self, monkeypatch):
+        lines = capture_records(monkeypatch)
+        report = stream_simulation(1_000).run()
+        assert len(lines) > simcluster.LOG_CHUNK_LINES
+        assert report.event_log_text == "\n".join([*lines, ""])
+        assert list(report.log) == report.event_log_text.splitlines() == lines
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5])
+    def test_any_chunk_size_gives_the_same_text(self, monkeypatch, chunk):
+        # The run logs 24 lines, so sizes 1 to 4 end it exactly on a boundary.
+        lines = capture_records(monkeypatch)
+        monkeypatch.setattr(simcluster, "LOG_CHUNK_LINES", chunk)
+        report = stream_simulation(2).run()
+        assert report.event_log_text == "\n".join([*lines, ""])
+
+    def test_empty_run_renders_one_newline_and_no_lines(self):
+        report = sim([]).run()
+        assert report.event_log_text == "\n"
+        assert list(report.log) == []
+
+    def test_log_can_be_iterated_twice(self):
+        report = sim([job("a"), job("b")]).run()
+        first = list(report.log)
+        assert first and list(report.log) == first
 
 
 class TestHorizon:

@@ -8,6 +8,7 @@ benchmark does and run the criterion-11 input through a Simulation.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 from test_golden import CRITERION_11_SITES, criterion_11_workload
@@ -21,6 +22,9 @@ BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 def load_bench_module(name: str):
     spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # Registered first, as an import would, so dataclasses can resolve the
+    # module's postponed annotations.
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
