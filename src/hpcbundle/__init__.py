@@ -20,7 +20,6 @@ from .dispatcher import (
     JobSpec,
     JobState,
     ResultEnvelope,
-    StepOutcome,
 )
 from .packing import (
     FreeRect,
@@ -77,7 +76,6 @@ __all__ = [
     "SiteRegistry",
     "Simulation",
     "StepGraph",
-    "StepOutcome",
     "beneath_relation",
     "bounding_request",
     "derive_rng",

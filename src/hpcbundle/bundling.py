@@ -119,22 +119,19 @@ class SiteRegistry:
     """Owns the execution sites, their queues, and bundle formation.
 
     All mutation happens through one event loop, so no locking; reads for
-    reporting take snapshots of the queue lists.
+    reporting take snapshots of the queue lists.  Every binding draws from
+    ``rng``, so a seeded generator makes a run reproducible.
     """
 
-    def __init__(
-        self,
-        sites: Iterable[ExecutionSite],
-        policy: BundlePolicy,
-        rng: random.Random | None = None,
-    ):
+    def __init__(self, sites: Iterable[ExecutionSite], policy: BundlePolicy,
+                 rng: random.Random):
         self.sites: dict[str, ExecutionSite] = {}
         for site in sites:
             if site.site_id in self.sites:
                 raise ValueError(f"duplicate site_id {site.site_id!r}")
             self.sites[site.site_id] = site
         self.policy = policy
-        self.rng = rng if rng is not None else random.Random()
+        self.rng = rng
         self._bundle_seq = 0
         self._queue_seq = 0
         self._seq_of: dict[str, int] = {}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Protocol
 
@@ -36,6 +36,9 @@ EVENT_ACCEPTED = "ACCEPTED"
 EVENT_QUEUED = "QUEUED"
 EVENT_RUNNING = "RUNNING"
 EVENT_FINISHED = "FINISHED"
+
+# Attempts after which a job that keeps failing ends as a flaky error.
+RETRY_CAP = 10
 
 
 class JobState(enum.Enum):
@@ -117,16 +120,7 @@ class JobRecord:
         return ratio.bit_length() - 1
 
 
-@dataclass(frozen=True, slots=True)
-class StepOutcome:
-    """Per-member verdict from inspecting a returned bundle."""
-
-    job_id: str
-    status: str  # COMPLETED | TIMEOUT | NODE_FAULT | CANCELLED | FAILED
-    elapsed_minutes: int
-    exit_code: int
-
-
+# Verdict for a step that left no sentinel; the other verdicts are state words.
 OUTCOME_NODE_FAULT = "NODE_FAULT"
 
 
@@ -175,7 +169,6 @@ class BundleArtifacts:
 
     accounting_text: str
     sentinels: dict[str, bool]
-    outputs: dict[str, str] = field(default_factory=dict)
 
     @classmethod
     def from_dir(cls, bundle_dir: str | Path) -> "BundleArtifacts":
@@ -185,15 +178,9 @@ class BundleArtifacts:
         step whose ``kim-done`` file marks normal conclusion.
         """
         root = Path(bundle_dir)
-        accounting_text = (root / ACCOUNTING_FILENAME).read_text()
-        sentinels: dict[str, bool] = {}
-        outputs: dict[str, str] = {}
-        for step_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-            sentinels[step_dir.name] = (step_dir / SENTINEL_FILENAME).exists()
-            blob = step_dir / "output.txt"
-            if blob.exists():
-                outputs[step_dir.name] = blob.read_text()
-        return cls(accounting_text=accounting_text, sentinels=sentinels, outputs=outputs)
+        sentinels = {step_dir.name: (step_dir / SENTINEL_FILENAME).exists()
+                     for step_dir in sorted(p for p in root.iterdir() if p.is_dir())}
+        return cls((root / ACCOUNTING_FILENAME).read_text(), sentinels)
 
     def write_to(self, bundle_dir: str | Path) -> None:
         root = Path(bundle_dir)
@@ -204,8 +191,6 @@ class BundleArtifacts:
             step_dir.mkdir(parents=True, exist_ok=True)
             if present:
                 (step_dir / SENTINEL_FILENAME).write_text("done\n")
-            if job_id in self.outputs:
-                (step_dir / "output.txt").write_text(self.outputs[job_id])
 
 
 @dataclass(frozen=True)
@@ -278,21 +263,18 @@ class Dispatcher:
         registry: SiteRegistry,
         backend: Backend,
         sink: ResultsSink,
-        retry_cap: int = 10,
         recorder: Callable[[int, str, str], None] | None = None,
     ):
         self.registry = registry
         self.policy: BundlePolicy = registry.policy
         self.backend = backend
         self.sink = sink
-        self.retry_cap = retry_cap
         self._recorder = recorder
         self.jobs: dict[str, JobRecord] = {}
         self.in_flight: dict[str, Bundle] = {}
         self.finalized: set[str] = set()
         self.bundle_reports: list[Bundle] = []  # every submitted bundle, in order
         self.state_counts: Counter = Counter()
-        self.ingested = 0
         self.timeout_total = 0
         self.rebind_total = 0
 
@@ -314,7 +296,6 @@ class Dispatcher:
             ingested_at=now,
         )
         self.jobs[job.job_id] = job
-        self.ingested += 1
         self.state_counts[job.state] += 1
         self._bind_or_error(job, now)
         if job.bound_site is not None:
@@ -402,8 +383,7 @@ class Dispatcher:
 
     # -- outcome analysis -----------------------------------------------
 
-    def analyze_bundle(self, handle: str, artifacts: BundleArtifacts,
-                       now: int) -> list[StepOutcome]:
+    def analyze_bundle(self, handle: str, artifacts: BundleArtifacts, now: int) -> None:
         """Inspect a returned bundle and route every member onward.
 
         Verdicts per member: accounting TIMEOUT doubles the next request;
@@ -425,48 +405,31 @@ class Dispatcher:
             self._record(now, "BAD_ACCOUNTING", f"{bundle.bundle_id}: {exc}")
             rows = {}
 
-        outcomes: list[StepOutcome] = []
+        verdicts: list[str] = []
         for job_id, _ in bundle.members:
             job = self.jobs[job_id]
             if job.state in TERMINAL_STATES:
                 continue
-            row = rows.get(job_id)
-            sentinel = artifacts.sentinels.get(job_id, False)
-            outcome = self._classify(job_id, row, sentinel)
-            outcomes.append(outcome)
-            bundle.outcome_counts[outcome.status] += 1
-            bundle.consumed_core_minutes += outcome.elapsed_minutes * job.cores
-            self._apply_outcome(job, outcome, now)
-        self._record(
-            now,
-            "ANALYZED",
-            f"{bundle.bundle_id} " + " ".join(f"{o.job_id}={o.status}" for o in outcomes),
-        )
-        return outcomes
+            word, elapsed, code = rows.get(job_id, ("", 0, 0))
+            status = self._classify(word, artifacts.sentinels.get(job_id, False))
+            verdicts.append(f"{job_id}={status}")
+            bundle.outcome_counts[status] += 1
+            bundle.consumed_core_minutes += elapsed * job.cores
+            self._apply_outcome(job, status, elapsed, code, now)
+        self._record(now, "ANALYZED", f"{bundle.bundle_id} " + " ".join(verdicts))
 
     @staticmethod
-    def _classify(job_id: str, row: tuple[str, int, int] | None,
-                  sentinel: bool) -> StepOutcome:
-        word, elapsed, code = row if row is not None else ("", 0, 0)
-        if word == ACCT_TIMEOUT:
-            status = ACCT_TIMEOUT
-        elif word == ACCT_CANCELLED:
-            status = ACCT_CANCELLED
-        elif not sentinel:
-            status = OUTCOME_NODE_FAULT
-        elif word == ACCT_FAILED:
-            status = ACCT_FAILED
-        else:
-            status = ACCT_COMPLETED
-        return StepOutcome(
-            job_id=job_id,
-            status=status,
-            elapsed_minutes=elapsed,
-            exit_code=code,
-        )
+    def _classify(word: str, sentinel: bool) -> str:
+        """Verdict: COMPLETED, TIMEOUT, NODE_FAULT, CANCELLED or FAILED."""
+        if word in (ACCT_TIMEOUT, ACCT_CANCELLED):
+            return word
+        if not sentinel:
+            return OUTCOME_NODE_FAULT
+        return ACCT_FAILED if word == ACCT_FAILED else ACCT_COMPLETED
 
-    def _apply_outcome(self, job: JobRecord, outcome: StepOutcome, now: int) -> None:
-        if outcome.status == ACCT_COMPLETED:
+    def _apply_outcome(self, job: JobRecord, status: str, elapsed: int, code: int,
+                       now: int) -> None:
+        if status == ACCT_COMPLETED:
             self._mark_running_if_needed(job, now)
             self._set_state(job, JobState.COMPLETED, now)
             self.sink.deliver(
@@ -475,15 +438,15 @@ class Dispatcher:
                     test_id=job.test_id,
                     model_id=job.model_id,
                     status="completed",
-                    elapsed_minutes=outcome.elapsed_minutes,
+                    elapsed_minutes=elapsed,
                     attempts=job.attempts,
                 )
             )
-        elif outcome.status == ACCT_TIMEOUT:
+        elif status == ACCT_TIMEOUT:
             self.handle_timeout(job, now)
-        elif outcome.status == ACCT_FAILED:
+        elif status == ACCT_FAILED:
             self._mark_running_if_needed(job, now)
-            self._error(job, now, "job-error", f"exit code {outcome.exit_code}")
+            self._error(job, now, "job-error", f"exit code {code}")
         else:  # NODE_FAULT or CANCELLED: retry with the request unchanged
             self._retry(job, now)
 
@@ -505,7 +468,7 @@ class Dispatcher:
         self._retry(job, now)
 
     def _retry(self, job: JobRecord, now: int) -> None:
-        if job.attempts >= self.retry_cap:
+        if job.attempts >= RETRY_CAP:
             self._mark_running_if_needed(job, now)
             self._error(job, now, "flaky-error", f"retry cap reached after {job.attempts} attempts")
             return
@@ -622,14 +585,12 @@ class Dispatcher:
 
     def live_count(self) -> int:
         """Jobs ingested but not yet terminal (pending through running)."""
-        return self.ingested - self.terminal_count()
+        return len(self.jobs) - self.terminal_count()
 
     def all_terminal(self) -> bool:
-        return self.terminal_count() == self.ingested
+        return self.terminal_count() == len(self.jobs)
 
     def conservation_ok(self) -> bool:
         """Every ingested job is in exactly one state bucket."""
         total = sum(self.state_counts.values())
-        return total == self.ingested == len(self.jobs) and all(
-            v >= 0 for v in self.state_counts.values()
-        )
+        return total == len(self.jobs) and all(v >= 0 for v in self.state_counts.values())

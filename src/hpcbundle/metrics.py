@@ -152,7 +152,7 @@ def summarize(dispatcher: Dispatcher) -> Summary:
     for bundle in dispatcher.bundle_reports:
         per_site[bundle.site_id] = per_site.get(bundle.site_id, 0) + 1
     return Summary(
-        n_jobs=dispatcher.ingested,
+        n_jobs=len(dispatcher.jobs),
         n_completed=dispatcher.state_counts[JobState.COMPLETED],
         n_errored=dispatcher.state_counts[JobState.ERRORED],
         n_live=dispatcher.live_count(),

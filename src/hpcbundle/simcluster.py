@@ -151,15 +151,11 @@ class StepSchedule:
     timed_out: bool
 
 
-def schedule_steps(
-    graph: StepGraph,
-    durations: dict[str, int],
-    start_minute: int = 0,
-) -> dict[str, tuple[int, int]]:
+def schedule_steps(graph: StepGraph, durations: dict[str, int]) -> dict[str, tuple[int, int]]:
     """Start and end minute for every step, in nominal (progress) time.
 
     A step starts when all its reduced-graph prerequisites have ended;
-    roots start at ``start_minute``.  Durations are taken as given, so
+    roots start at minute 0.  Durations are taken as given, so
     callers apply kill rules before calling.
     """
     # Depth-first over predecessors with an explicit stack, so a deep
@@ -179,7 +175,7 @@ def schedule_steps(
                     break
             else:
                 stack.pop()
-                start = max((times[pre][1] for pre in preds), default=start_minute)
+                start = max((times[pre][1] for pre in preds), default=0)
                 times[node] = (start, start + durations[node])
     return times
 

@@ -86,36 +86,46 @@ def _parse_int(value: str, lineno: int) -> int:
 
 
 def _parse_queue_wait(value: str, lineno: int) -> QueueWait:
-    parts = value.split()
+    kind, *bounds = value.split() or [""]
     try:
-        if parts[0] == "fixed" and len(parts) == 2:
-            return QueueWait("fixed", int(parts[1]))
-        if parts[0] == "uniform" and len(parts) == 3:
-            return QueueWait("uniform", int(parts[1]), int(parts[2]))
-    except (ValueError, IndexError):
-        pass
-    _fail(lineno, f"expected 'fixed N' or 'uniform LOW HIGH', got {value!r}")
+        bounds = [int(b) for b in bounds]
+    except ValueError:
+        bounds = []
+    if len(bounds) != {"fixed": 1, "uniform": 2}.get(kind):
+        _fail(lineno, f"expected 'fixed N' or 'uniform LOW HIGH', got {value!r}")
+    try:
+        return QueueWait(kind, *bounds)
+    except ValueError:
+        _fail(lineno, f"queue_wait bounds must satisfy 0 <= LOW <= HIGH, got {value!r}")
 
 
 def parse_sites_text(text: str) -> SiteFileContents:
     contents = SiteFileContents()
     section: str | None = None
-    site_kv: dict[str, tuple[str, int]] = {}
+    kv: dict[str, tuple[str, int]] = {}  # the open section's keys: (value, line)
     site_id: str | None = None
-    fault_kv: dict[str, tuple[str, int]] = {}
-    section_keys: set[str] = set()
     site_ids: set[str] = set()
     section_line = 0
     sim_seen = False
+    fault_lines: dict[tuple[str, str], int] = {}  # (kind, target) -> section line
+    stalls: dict[str, list[tuple[tuple[int, int], int]]] = {}  # site -> (window, line)
 
     def close_section() -> None:
         if section == "site":
-            contents.sites.append(_build_site(site_id, site_kv, section_line))
-            wait = site_kv.get("queue_wait")
+            contents.sites.append(_build_site(site_id, kv, section_line))
+            wait = kv.get("queue_wait")
             if wait is not None:
                 contents.queue_waits[site_id] = _parse_queue_wait(*wait)
         elif section == "fault":
-            contents.faults.append(_build_fault(fault_kv, section_line))
+            fault = _build_fault(kv, section_line)
+            if fault.kind == GLOBAL_STALL:
+                stalls.setdefault(fault.target, []).append((fault.window, section_line))
+            else:
+                first = fault_lines.setdefault((fault.kind, fault.target), section_line)
+                if first != section_line:
+                    _fail(section_line,
+                          f"repeated {fault.kind} for {fault.target!r}, first at line {first}")
+            contents.faults.append(fault)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -123,7 +133,7 @@ def parse_sites_text(text: str) -> SiteFileContents:
             continue
         if line.startswith("[") and line.endswith("]"):
             close_section()
-            site_kv, fault_kv, section_keys = {}, {}, set()
+            kv = {}
             header = line[1:-1].strip()
             section_line = lineno
             if header == "sim":
@@ -146,9 +156,9 @@ def parse_sites_text(text: str) -> SiteFileContents:
         if "=" not in line:
             _fail(lineno, f"expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in section_keys:
+        if key in kv:
             _fail(lineno, f"duplicate key {key!r}")
-        section_keys.add(key)
+        kv[key] = (value, lineno)
         if section == "sim":
             if key == "grace_minutes":
                 contents.grace_minutes = _parse_int(value, lineno)
@@ -156,13 +166,17 @@ def parse_sites_text(text: str) -> SiteFileContents:
                 contents.tick_minutes = _parse_int(value, lineno)
             else:
                 _fail(lineno, f"unknown [sim] key {key!r}")
-        elif section == "site":
-            site_kv[key] = (value, lineno)
-        elif section == "fault":
-            fault_kv[key] = (value, lineno)
-        else:
+        elif section is None:
             _fail(lineno, "key-value pair outside any section")
     close_section()
+    # The rule SimCluster enforces, with the later section's line:
+    # windows on one site may touch but not overlap.
+    for target, windows in stalls.items():
+        windows.sort()
+        for ((_, end), line0), ((start, _), line1) in zip(windows, windows[1:]):
+            if start < end:
+                _fail(max(line0, line1), f"GLOBAL_STALL window on {target!r} overlaps "
+                                         f"the one at line {min(line0, line1)}")
     return contents
 
 
@@ -311,8 +325,8 @@ def parse_workload_file(path: str | Path) -> list[JobSpec]:
 def parse_policy(text: str) -> BundlePolicy:
     """Build a bundling policy from ``key=value`` pairs joined by commas.
 
-    Keys: min_jobs, min_fill, flush, buffer, heartbeat.  Omitted keys
-    keep their defaults.
+    Keys: min_jobs, min_fill, flush, buffer, heartbeat, each at most
+    once.  Omitted keys keep their defaults.
     """
     kwargs: dict[str, object] = {}
     if text.strip():
@@ -323,6 +337,8 @@ def parse_policy(text: str) -> BundlePolicy:
             if key not in _POLICY_KEYS:
                 raise ParseError(f"unknown policy key {key!r}")
             attr, convert = _POLICY_KEYS[key]
+            if attr in kwargs:
+                raise ParseError(f"duplicate policy key {key!r}")
             try:
                 kwargs[attr] = convert(value)
             except ValueError:

@@ -13,6 +13,7 @@ from hpcbundle.dispatcher import (
     Dispatcher,
     JobSpec,
     JobState,
+    RETRY_CAP,
 )
 
 
@@ -65,13 +66,13 @@ class FakeBackend:
         return self.submissions[-1]
 
 
-def build(sites=None, policy=None, seed=0, retry_cap=10):
+def build(sites=None, policy=None, seed=0):
     sites = sites or [ExecutionSite("S1", 6, 100)]
     policy = policy or BundlePolicy(min_jobs=1, min_fill=0.0)
     registry = SiteRegistry(sites, policy, random.Random(seed))
     backend = FakeBackend()
     sink = CollectingSink()
-    dispatcher = Dispatcher(registry, backend, sink, retry_cap=retry_cap)
+    dispatcher = Dispatcher(registry, backend, sink)
     return dispatcher, backend, sink
 
 
@@ -267,13 +268,13 @@ class TestFaultOutcomes:
             assert dispatcher.jobs["b"].requested_minutes == 10
 
     def test_retry_cap_errors_flaky(self):
-        dispatcher, backend, sink = build(retry_cap=3)
+        dispatcher, backend, sink = build()
         job = dispatcher.ingest(spec(), now=0)
-        for n in range(3):
+        for n in range(RETRY_CAP):
             handle, bundle, _ = backend.last
             arts = artifacts_for(bundle, {"j": "FAILED"}, sentinels={"j": False})
             dispatcher.on_event(handle, "FINISHED", now=10 * (n + 1), artifacts=arts)
-        assert job.attempts == 3
+        assert job.attempts == RETRY_CAP
         assert job.state is JobState.ERRORED
         assert job.error_kind == "flaky-error"
         assert sink.envelopes[-1].status == "flaky-error"
@@ -463,7 +464,6 @@ class TestArtifactsOnDisk:
         arts = BundleArtifacts(
             accounting_text="bundle_id B1\na COMPLETED 5 0\nb FAILED 6 1\n",
             sentinels={"a": True, "b": False},
-            outputs={"a": "fine\n"},
         )
         arts.write_to(tmp_path / "B1")
         assert (tmp_path / "B1" / "a" / "kim-done").exists()
@@ -471,4 +471,3 @@ class TestArtifactsOnDisk:
         loaded = BundleArtifacts.from_dir(tmp_path / "B1")
         assert loaded.accounting_text == arts.accounting_text
         assert loaded.sentinels == arts.sentinels
-        assert loaded.outputs == {"a": "fine\n"}

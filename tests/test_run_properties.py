@@ -1,0 +1,153 @@
+"""Whole-run properties of the simulation over small random scenarios.
+
+Each example draws sites, a workload, per-job faults, per-site stall
+windows and queue waits, a bundling policy and a simulation config, runs
+the simulation to the end and checks invariants that must hold for any
+such input: terminal states, one result envelope per job, an event log
+that never acts on a finished bundle or starts a step before its
+predecessors end, placements inside each bundle's request, and a replay
+that reproduces the log byte for byte.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from hpcbundle.bundling import BundlePolicy, ExecutionSite
+from hpcbundle.dispatcher import TERMINAL_STATES, JobSpec, JobState
+from hpcbundle.simcluster import (
+    EV_BUNDLE_END,
+    EV_BUNDLE_START,
+    EV_STEP_END,
+    EV_STEP_START,
+    GLOBAL_STALL,
+    NODE_FAULT,
+    STEP_OVERRUN,
+    FaultSpec,
+    QueueWait,
+    SimConfig,
+    Simulation,
+)
+from hpcbundle.stepgraph import step_graph
+
+_RUN_KINDS = {EV_BUNDLE_START, EV_STEP_START, EV_STEP_END}
+
+
+@st.composite
+def stall_windows(draw):
+    """Up to two windows on one site, in order; consecutive ones may touch."""
+    windows, end = [], 0
+    for _ in range(draw(st.integers(0, 2))):
+        start = end + draw(st.integers(0, 120))
+        end = start + draw(st.integers(1, 90))
+        windows.append((start, end))
+    return windows
+
+
+queue_waits = st.one_of(
+    st.none(),
+    st.builds(lambda n: QueueWait("fixed", n), st.integers(0, 60)),
+    st.builds(lambda lo, span: QueueWait("uniform", lo, lo + span),
+              st.integers(0, 30), st.integers(0, 60)),
+)
+
+
+@st.composite
+def scenarios(draw):
+    """Plain values from which `build` makes a fresh simulation."""
+    sites = [
+        (f"S{i}", draw(st.integers(1, 12)), draw(st.integers(20, 400)),
+         draw(st.sampled_from([True, True, True, False])),
+         draw(queue_waits), draw(stall_windows()))
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    jobs = [
+        (f"J{n:02d}", draw(st.integers(1, 12)), draw(st.integers(1, 120)),
+         draw(st.integers(1, 300)), draw(st.integers(0, 300)),
+         draw(st.one_of(st.none(), st.integers(1, 8))),
+         draw(st.one_of(st.none(), st.integers(1, 3))))
+        for n in range(draw(st.integers(1, 16)))
+    ]
+    policy = BundlePolicy(
+        min_jobs=draw(st.integers(1, 6)),
+        min_fill=draw(st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0])),
+        flush_interval_minutes=draw(st.integers(1, 120)),
+        timeout_buffer_minutes=draw(st.integers(0, 10)),
+        heartbeat_factor=draw(st.sampled_from([1.5, 2.0, 3.0])),
+    )
+    config = (draw(st.integers(0, 2**16)), draw(st.integers(0, 10)), draw(st.integers(1, 30)))
+    return sites, jobs, policy, config
+
+
+def build(scenario) -> Simulation:
+    sites, jobs, policy, (seed, grace, tick) = scenario
+    faults = []
+    for job_id, *_, overrun, node_fault in jobs:
+        if overrun is not None:
+            faults.append(FaultSpec(STEP_OVERRUN, job_id, multiplier=overrun))
+        if node_fault is not None:
+            faults.append(FaultSpec(NODE_FAULT, job_id, times=node_fault))
+    for site_id, *_, windows in sites:
+        faults += [FaultSpec(GLOBAL_STALL, site_id, window=w) for w in windows]
+    config = SimConfig(
+        seed=seed, grace_minutes=grace, tick_minutes=tick,
+        queue_waits={site_id: wait for site_id, _, _, _, wait, _ in sites if wait},
+        faults=tuple(faults),
+    )
+    return Simulation(
+        [ExecutionSite(site_id, cores, minutes, active=active)
+         for site_id, cores, minutes, active, _, _ in sites],
+        [JobSpec(job_id, "t", "m", cores, req, true, arrival)
+         for job_id, cores, req, true, arrival, _, _ in jobs],
+        policy,
+        config,
+    )
+
+
+def check_log(report) -> None:
+    """No run event after a bundle's end; no step starts before its predecessors end."""
+    graphs = {b.bundle_id: step_graph(b.members) for b in report.dispatcher.bundle_reports}
+    ended_bundles: set[str] = set()
+    ended_steps: set[tuple[str, str]] = set()
+    for line in report.log:
+        _, kind, detail = line.split(None, 2)
+        if kind in _RUN_KINDS:
+            bundle_id, _, job_id = detail.split()[0].partition("/")
+            assert bundle_id not in ended_bundles, f"{line!r} after {bundle_id} ended"
+            if kind == EV_STEP_START:
+                for pre in graphs[bundle_id].predecessors(job_id):
+                    assert (bundle_id, pre) in ended_steps, f"{line!r} before {pre} ended"
+            elif kind == EV_STEP_END:
+                ended_steps.add((bundle_id, job_id))
+        elif kind == EV_BUNDLE_END:
+            ended_bundles.add(detail.split()[0])
+
+
+def check_placements(report) -> None:
+    for bundle in report.dispatcher.bundle_reports:
+        placements = [p for _, p in bundle.members]
+        for p in placements:
+            assert 0 <= p.left and p.right <= bundle.request_cores
+            assert 0 <= p.bottom and p.top <= bundle.request_minutes
+        for i, a in enumerate(placements):
+            assert not any(a.overlaps(b) for b in placements[i + 1:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenarios())
+def test_whole_run_properties(scenario):
+    report = build(scenario).run()
+    dispatcher = report.dispatcher
+
+    assert not report.horizon_exhausted
+    assert all(job.state in TERMINAL_STATES for job in dispatcher.jobs.values())
+    assert dispatcher.all_terminal() and report.live_at_end == 0
+    assert dispatcher.conservation_ok()
+
+    envelopes = {e.job_id: e for e in report.sink.envelopes}
+    assert sorted(e.job_id for e in report.sink.envelopes) == sorted(dispatcher.jobs)
+    for job_id, job in dispatcher.jobs.items():
+        expected = "completed" if job.state is JobState.COMPLETED else job.error_kind
+        assert envelopes[job_id].status == expected
+
+    check_log(report)
+    check_placements(report)
+    assert build(scenario).run().event_log_text == report.event_log_text

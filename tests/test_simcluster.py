@@ -128,10 +128,6 @@ class TestScheduleSteps:
         assert times["D"] == (70, 90)
         assert times["E"] == (70, 95)
 
-    def test_start_minute_offset(self):
-        graph = StepGraph(nodes=("A",), edges=frozenset())
-        assert schedule_steps(graph, {"A": 5}, start_minute=100) == {"A": (100, 105)}
-
     def test_steps_enter_in_post_order(self):
         # on_bundle_start pushes step events in the order of the returned
         # dict: depth-first from each node in graph.nodes order, sorted

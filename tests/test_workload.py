@@ -135,6 +135,24 @@ class TestSitesParsing:
             ("[sim]\ntick_minutes = 5\n[site s]\ncores_per_node = 4\n"
              "max_walltime_minutes = 9\n[sim]\ntick_minutes = 10\n", 6, "duplicate [sim] section"),
             ("[fault]\nkind = NODE_FAULT\ntarget = j\ntarget = k\n", 4, "duplicate key 'target'"),
+            ("[fault]\nkind = STEP_OVERRUN\ntarget = j\nmultiplier = 2\n"
+             "[fault]\nkind = STEP_OVERRUN\ntarget = j\nmultiplier = 6\n", 5,
+             "repeated STEP_OVERRUN for 'j', first at line 1"),
+            ("[fault]\nkind = NODE_FAULT\ntarget = j\n"
+             "[fault]\nkind = STEP_OVERRUN\ntarget = j\nmultiplier = 2\n"
+             "[fault]\nkind = NODE_FAULT\ntarget = j\ntimes = 2\n", 8,
+             "repeated NODE_FAULT for 'j', first at line 1"),
+            ("[fault]\nkind = GLOBAL_STALL\ntarget = s\nwindow = 10 50\n"
+             "[fault]\nkind = GLOBAL_STALL\ntarget = s\nwindow = 0 11\n", 5,
+             "GLOBAL_STALL window on 's' overlaps the one at line 1"),
+            ("[fault]\nkind = GLOBAL_STALL\ntarget = s\nwindow = 0 100\n"
+             "[fault]\nkind = GLOBAL_STALL\ntarget = s\nwindow = 100 200\n"
+             "[fault]\nkind = GLOBAL_STALL\ntarget = s\nwindow = 20 30\n", 9,
+             "overlaps the one at line 1"),
+            ("[site s]\ncores_per_node = 4\nmax_walltime_minutes = 9\n"
+             "queue_wait = uniform 10 5\n", 4, "0 <= LOW <= HIGH"),
+            ("[site s]\ncores_per_node = 4\nmax_walltime_minutes = 9\n"
+             "queue_wait = fixed -1\n", 4, "0 <= LOW <= HIGH"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, lineno, fragment):
@@ -150,6 +168,23 @@ class TestSitesParsing:
         )
         with pytest.raises(ParseError, match="^line 4: duplicate site id 's'$"):
             parse_sites_text(text)
+
+    def test_distinct_faults_and_touching_windows_accepted(self):
+        # One fault of each kind per target, and stall windows that only
+        # touch, as SimCluster accepts them.
+        text = (
+            "[fault]\nkind = STEP_OVERRUN\ntarget = j\nmultiplier = 2\n"
+            "[fault]\nkind = NODE_FAULT\ntarget = j\n"
+            "[fault]\nkind = STEP_OVERRUN\ntarget = k\nmultiplier = 3\n"
+            "[fault]\nkind = GLOBAL_STALL\ntarget = s\nwindow = 10 20\n"
+            "[fault]\nkind = GLOBAL_STALL\ntarget = s\nwindow = 0 10\n"
+            "[fault]\nkind = GLOBAL_STALL\ntarget = t\nwindow = 5 15\n"
+        )
+        faults = parse_sites_text(text).faults
+        assert [(f.kind, f.target) for f in faults] == [
+            (STEP_OVERRUN, "j"), (NODE_FAULT, "j"), (STEP_OVERRUN, "k"),
+            (GLOBAL_STALL, "s"), (GLOBAL_STALL, "s"), (GLOBAL_STALL, "t"),
+        ]
 
     def test_invalid_window_bounds_rejected(self):
         text = "[fault]\nkind = GLOBAL_STALL\ntarget = s\nwindow = 90 10\n"
@@ -323,6 +358,10 @@ class TestPolicyParsing:
     def test_malformed_rejected(self, text):
         with pytest.raises(ParseError):
             parse_policy(text)
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ParseError, match="duplicate policy key 'min_jobs'"):
+            parse_policy("min_jobs=5,min_jobs=9")
 
     def test_invalid_values_propagate_policy_validation(self):
         with pytest.raises(ValueError):
