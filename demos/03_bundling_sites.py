@@ -45,6 +45,9 @@ def main() -> None:
         if bundle is None:
             print(f"  {site.site_id}: not yet sufficient")
             continue
+        # Formation only proposes; the members leave the queue once the
+        # backend accepts the bundle.  Here every proposal is accepted.
+        registry.commit(bundle)
         print(f"  {site.site_id}: {bundle.bundle_id} "
               f"request {bundle.request_cores}c x {bundle.request_minutes}m "
               f"waste {bundle.waste_fraction():.3f}")
@@ -57,6 +60,7 @@ def main() -> None:
 
     # An hour later nothing new arrived; the flush timer forces the rest.
     for bundle in registry.flush_due_sites(now=60, jobs=jobs):
+        registry.commit(bundle)
         print(f"\nflush at minute 60: {bundle.bundle_id} on {bundle.site_id} "
               f"with {bundle.job_ids}")
 

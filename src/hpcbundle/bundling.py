@@ -11,7 +11,6 @@ interval so small queues are never stranded.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Protocol
 
@@ -80,14 +79,14 @@ class ExecutionSite:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class Bundle:
     """An ordered set of packed jobs submitted to the backend as one job.
 
     Placement heights include the timeout buffer; the request is the
     bounding rectangle of the placements, anchored at the origin.  Once
     submitted, the dispatcher keeps the heartbeat clock and the member
-    outcome tallies here.
+    outcome tallies (in ``dispatcher.OUTCOMES`` order) here.
     """
 
     bundle_id: str
@@ -96,7 +95,7 @@ class Bundle:
     request_cores: int
     request_minutes: int
     last_event_at: int = 0
-    outcome_counts: Counter = field(default_factory=Counter)
+    outcome_counts: tuple[int, int, int, int, int] = (0, 0, 0, 0, 0)
     consumed_core_minutes: int = 0
 
     @property
@@ -118,6 +117,9 @@ class Bundle:
 class SiteRegistry:
     """Owns the execution sites, their queues, and bundle formation.
 
+    Only the registry changes a queue: ``bind`` and ``enqueue`` append, ``commit``
+    removes the members of a bundle the backend accepted, and ``set_active`` empties
+    the queue of a site it switches off.  A rejected proposal leaves nothing to undo.
     All mutation happens through one event loop, so no locking; reads for
     reporting take snapshots of the queue lists.  Every binding draws from
     ``rng``, so a seeded generator makes a run reproducible.
@@ -133,8 +135,6 @@ class SiteRegistry:
         self.policy = policy
         self.rng = rng
         self._bundle_seq = 0
-        self._queue_seq = 0
-        self._seq_of: dict[str, int] = {}
         # One buffered rectangle per (cores, requested minutes) request.
         self._rects: dict[tuple[int, int], ResourceRect] = {}
 
@@ -161,25 +161,26 @@ class SiteRegistry:
         if not compatible:
             return None
         site = compatible[self.rng.randrange(len(compatible))]
-        self._append_to_queue(site, job_id)
+        site.queue.append(job_id)
         return site
 
     def enqueue(self, site: ExecutionSite, job_id: str) -> None:
         """Append a job to a site's queue as a fresh arrival (retries)."""
-        self._append_to_queue(site, job_id)
-
-    def _append_to_queue(self, site: ExecutionSite, job_id: str) -> None:
-        self._queue_seq += 1
-        self._seq_of[job_id] = self._queue_seq
         site.queue.append(job_id)
 
-    def requeue_in_order(self, site: ExecutionSite, job_id: str) -> None:
-        """Reinsert a job at its original queue position (backend rejection)."""
-        seq = self._seq_of[job_id]
-        pos = 0
-        while pos < len(site.queue) and self._seq_of[site.queue[pos]] < seq:
-            pos += 1
-        site.queue.insert(pos, job_id)
+    def commit(self, bundle: Bundle) -> None:
+        """Remove an accepted bundle's members from its site's queue."""
+        site = self.sites[bundle.site_id]
+        members = {job_id for job_id, _ in bundle.members}
+        site.queue = [j for j in site.queue if j not in members]
+
+    def set_active(self, site: ExecutionSite, active: bool) -> list[str]:
+        """Switch a site on or off; switching off empties its queue and returns it."""
+        site.active = active
+        if active:
+            return []
+        drained, site.queue = site.queue, []
+        return drained
 
     def try_form_bundle(
         self,
@@ -188,15 +189,15 @@ class SiteRegistry:
         force: bool = False,
         now: int = 0,
     ) -> Bundle | None:
-        """Pack the site queue into a fresh bin until sufficiency.
+        """Propose a bundle: pack the site queue into a fresh bin until sufficiency.
 
         The queue is walked in FIFO order; a job whose buffered rectangle
-        no longer fits the partially packed bin keeps its queue position
-        and is skipped.  Packing stops as soon as the policy is satisfied.
-        Returns ``None`` (queue untouched) when the packed jobs are
-        insufficient and ``force`` is unset, or when nothing packed at
-        all.  Every call, successful or not, resets the site's flush
-        timer.
+        no longer fits the partially packed bin is skipped.  Packing stops
+        as soon as the policy is satisfied.  The queue is left as it is:
+        the members leave it only when ``commit`` accepts the bundle.
+        Returns ``None`` when the packed jobs are insufficient and
+        ``force`` is unset, or when nothing packed at all.  Every call,
+        successful or not, resets the site's flush timer.
         """
         site.last_attempt_at = now
         if not site.active:
@@ -227,8 +228,6 @@ class SiteRegistry:
         if not packed or not (force or sufficient):
             return None
 
-        packed_ids = {job_id for job_id, _ in packed}
-        site.queue = [j for j in site.queue if j not in packed_ids]
         cores, minutes = bounding_request([p for _, p in packed])
         self._bundle_seq += 1
         return Bundle(
@@ -240,7 +239,7 @@ class SiteRegistry:
         )
 
     def flush_due_sites(self, now: int, jobs: Mapping[str, JobLike]) -> list[Bundle]:
-        """Force-form bundles on active sites overdue for an attempt."""
+        """Force-propose bundles on active sites overdue for an attempt."""
         bundles = []
         for site in self.sites.values():
             if not site.active:

@@ -122,6 +122,8 @@ class JobRecord:
 
 # Verdict for a step that left no sentinel; the other verdicts are state words.
 OUTCOME_NODE_FAULT = "NODE_FAULT"
+# Every verdict, in the order of ``Bundle.outcome_counts`` and metrics.csv.
+OUTCOMES = (ACCT_COMPLETED, ACCT_TIMEOUT, OUTCOME_NODE_FAULT, ACCT_CANCELLED, ACCT_FAILED)
 
 
 @dataclass
@@ -163,7 +165,7 @@ class AccountingRecord:
         return cls(bundle_id=bundle_id, rows=rows)
 
 
-@dataclass
+@dataclass(slots=True)
 class BundleArtifacts:
     """What comes back from the backend when a bundle finishes or is cancelled."""
 
@@ -274,6 +276,8 @@ class Dispatcher:
         self.in_flight: dict[str, Bundle] = {}
         self.finalized: set[str] = set()
         self.bundle_reports: list[Bundle] = []  # every submitted bundle, in order
+        # One shared tuple per distinct ``outcome_counts``; most bundles repeat a few.
+        self._outcome_counts: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.state_counts: Counter = Counter()
         self.timeout_total = 0
         self.rebind_total = 0
@@ -326,16 +330,14 @@ class Dispatcher:
         return bundles
 
     def submit(self, bundle: Bundle, now: int) -> str | None:
-        """Submit a formed bundle; on backend rejection requeue its members."""
+        """Submit a proposed bundle; its members leave the queue only if accepted."""
         materials = BundleMaterials(graph=step_graph(bundle.members))
         try:
             handle = self.backend.submit(bundle, materials)
         except BackendRejection as exc:
-            site = self.registry.site(bundle.site_id)
-            for job_id, _ in bundle.members:
-                self.registry.requeue_in_order(site, job_id)
             self._record(now, "REJECTED", f"{bundle.bundle_id} at {bundle.site_id}: {exc}")
             return None
+        self.registry.commit(bundle)
         bundle.last_event_at = now
         for job_id, _ in bundle.members:
             job = self.jobs[job_id]
@@ -406,6 +408,7 @@ class Dispatcher:
             rows = {}
 
         verdicts: list[str] = []
+        tallies = dict.fromkeys(OUTCOMES, 0)
         for job_id, _ in bundle.members:
             job = self.jobs[job_id]
             if job.state in TERMINAL_STATES:
@@ -413,9 +416,11 @@ class Dispatcher:
             word, elapsed, code = rows.get(job_id, ("", 0, 0))
             status = self._classify(word, artifacts.sentinels.get(job_id, False))
             verdicts.append(f"{job_id}={status}")
-            bundle.outcome_counts[status] += 1
+            tallies[status] += 1
             bundle.consumed_core_minutes += elapsed * job.cores
             self._apply_outcome(job, status, elapsed, code, now)
+        counts = tuple(tallies.values())
+        bundle.outcome_counts = self._outcome_counts.setdefault(counts, counts)
         self._record(now, "ANALYZED", f"{bundle.bundle_id} " + " ".join(verdicts))
 
     @staticmethod
@@ -545,12 +550,8 @@ class Dispatcher:
         site = self.registry.sites[site_id]  # KeyError for unknown ids
         if site.active == active:
             return
-        site.active = active
+        drained = self.registry.set_active(site, active)
         self._record(now, "SITE", f"{site_id} {'activated' if active else 'deactivated'}")
-        if active:
-            return
-        drained = list(site.queue)
-        site.queue.clear()
         for job_id in drained:
             self._rebind(self.jobs[job_id], now)
 

@@ -41,17 +41,13 @@ JOBS_COLUMNS = [
     "turnaround_minutes",
 ]
 
-# Outcome statuses in the order of the n_* columns of METRICS_COLUMNS.
-_OUTCOME_ORDER = ("COMPLETED", "TIMEOUT", "NODE_FAULT", "CANCELLED", "FAILED")
-
 
 def bundle_rows(dispatcher: Dispatcher) -> Iterator[tuple[object, ...]]:
     """One metrics.csv row per submitted bundle, in METRICS_COLUMNS order."""
     for bundle in dispatcher.bundle_reports:
-        counts = bundle.outcome_counts
         yield (bundle.bundle_id, bundle.site_id, bundle.n_jobs, bundle.request_cores,
                bundle.request_minutes, f"{bundle.waste_fraction():.6f}",
-               *[counts[status] for status in _OUTCOME_ORDER])
+               *bundle.outcome_counts)
 
 
 def job_rows(dispatcher: Dispatcher) -> Iterator[tuple[object, ...]]:

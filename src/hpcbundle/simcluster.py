@@ -185,9 +185,10 @@ class _BundleRun:
 
     Finalization releases the working state: ``schedule``, ``rows`` and
     ``materials`` become ``None``, and ``sentinels`` live on as
-    ``artifacts.sentinels``.  A finished run keeps ``handle``, ``bundle``,
-    ``site_id``, ``wait``, ``started_at``, ``finalized_at`` and
-    ``artifacts``.
+    ``artifacts.sentinels``.  The artifacts go to the dispatcher once, with
+    the delivered FINISHED notification or from ``SimCluster.cancel``, and
+    then become ``None`` here too.  A finished run keeps ``handle``,
+    ``bundle``, ``site_id``, ``wait``, ``started_at`` and ``finalized_at``.
     """
 
     __slots__ = ("handle", "bundle", "materials", "site_id", "wait", "started_at",
@@ -319,7 +320,8 @@ class SimCluster:
             return None
         if not run.finalized:
             self._finalize(run, self.sim.now, killed=True, notify=False)
-        return run.artifacts
+        artifacts, run.artifacts = run.artifacts, None
+        return artifacts
 
     # -- event handlers --------------------------------------------------
 
@@ -578,5 +580,7 @@ class Simulation:
         if self.backend.suppressed(run.site_id, now):
             self.record(now, "SUPPRESSED", f"{run.bundle.bundle_id} {event_kind}")
             return
-        artifacts = run.artifacts if event_kind == EVENT_FINISHED else None
+        artifacts = None
+        if event_kind == EVENT_FINISHED:  # handed over once; a later cancel finds none
+            artifacts, run.artifacts = run.artifacts, None
         self.dispatcher.on_event(handle, event_kind, now, artifacts)

@@ -28,6 +28,9 @@ from .simcluster import (
 
 WORKLOAD_COLUMNS = list(JobSpec._fields)
 
+# The [sim] keys and the least value each takes.
+_SIM_MINIMUMS = {"grace_minutes": 0, "tick_minutes": 1}
+
 _POLICY_KEYS = {
     "min_jobs": ("min_jobs", int),
     "min_fill": ("min_fill", float),
@@ -160,23 +163,27 @@ def parse_sites_text(text: str) -> SiteFileContents:
             _fail(lineno, f"duplicate key {key!r}")
         kv[key] = (value, lineno)
         if section == "sim":
-            if key == "grace_minutes":
-                contents.grace_minutes = _parse_int(value, lineno)
-            elif key == "tick_minutes":
-                contents.tick_minutes = _parse_int(value, lineno)
-            else:
+            if key not in _SIM_MINIMUMS:
                 _fail(lineno, f"unknown [sim] key {key!r}")
+            number = _parse_int(value, lineno)
+            if number < _SIM_MINIMUMS[key]:
+                _fail(lineno, f"{key} must be >= {_SIM_MINIMUMS[key]}, got {number}")
+            setattr(contents, key, number)
         elif section is None:
             _fail(lineno, "key-value pair outside any section")
     close_section()
-    # The rule SimCluster enforces, with the later section's line:
-    # windows on one site may touch but not overlap.
+    # The rules SimCluster and Simulation enforce, with a section's line:
+    # windows on one site may touch but not overlap, and a stall targets a
+    # site of this file.
     for target, windows in stalls.items():
         windows.sort()
         for ((_, end), line0), ((start, _), line1) in zip(windows, windows[1:]):
             if start < end:
                 _fail(max(line0, line1), f"GLOBAL_STALL window on {target!r} overlaps "
                                          f"the one at line {min(line0, line1)}")
+        if target not in site_ids:
+            _fail(min(line for _, line in windows),
+                  f"GLOBAL_STALL target {target!r} names no site in this file")
     return contents
 
 

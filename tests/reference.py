@@ -22,6 +22,12 @@ The workload-CSV oracle parses through ``csv.DictReader`` and converts
 one column at a time; the production parser makes one pass over
 ``csv.reader`` rows.  Both must return the same jobs or raise the same
 message.
+
+The queue model keeps each site queue as a plain list and cuts a
+bundle's members out as soon as the bundle is formed; a rejected
+bundle's members go back by their arrival sequence numbers.  The
+production registry leaves the queue alone until the backend accepts,
+so a rejection has nothing to undo; both must hold the same queues.
 """
 
 from __future__ import annotations
@@ -257,3 +263,38 @@ def parse_workload_text(text: str) -> list[JobSpec]:
             )
         )
     return jobs
+
+
+class QueueModel:
+    """Site queues as lists, with sequence-number reinsertion on rejection."""
+
+    def __init__(self, site_ids):
+        self.queues: dict[str, list[str]] = {site_id: [] for site_id in site_ids}
+        self._seq = 0
+        self._seq_of: dict[str, int] = {}
+
+    def append(self, site_id: str, job_id: str) -> None:
+        """A binding or a retry: the job arrives afresh at the back."""
+        self._seq += 1
+        self._seq_of[job_id] = self._seq
+        self.queues[site_id].append(job_id)
+
+    def form(self, site_id: str, job_ids: list[str]) -> None:
+        """Cut the members of a newly formed bundle out of the queue."""
+        members = set(job_ids)
+        self.queues[site_id] = [j for j in self.queues[site_id] if j not in members]
+
+    def reject(self, site_id: str, job_ids: list[str]) -> None:
+        """Put a rejected bundle's members back at their original positions."""
+        queue = self.queues[site_id]
+        for job_id in job_ids:
+            seq = self._seq_of[job_id]
+            pos = 0
+            while pos < len(queue) and self._seq_of[queue[pos]] < seq:
+                pos += 1
+            queue.insert(pos, job_id)
+
+    def drain(self, site_id: str) -> list[str]:
+        """A deactivated site hands back its whole queue, in order."""
+        drained, self.queues[site_id] = self.queues[site_id], []
+        return drained

@@ -5,8 +5,11 @@ from collections import Counter
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hpcbundle.bundling import Bundle, BundlePolicy, ExecutionSite, SiteRegistry
+
+from reference import QueueModel
 
 
 @dataclass
@@ -108,6 +111,8 @@ class TestTryFormBundle:
         assert (bundle.request_cores, bundle.request_minutes) == (6, 95)
         coords = [(p.x, p.y) for _, p in bundle.members]
         assert coords == [(0, 0), (3, 0), (0, 40), (0, 70), (2, 70)]
+        assert registry.site("S1").queue == ["A", "B", "C", "D", "E"]  # proposed only
+        registry.commit(bundle)
         assert registry.site("S1").queue == []
 
     def test_insufficient_leaves_queue_untouched(self):
@@ -131,6 +136,7 @@ class TestTryFormBundle:
         assert registry.try_form_bundle(registry.site("S1"), jobs) is None
         forced = registry.try_form_bundle(registry.site("S1"), jobs, force=True)
         assert forced.job_ids == ["one"]
+        registry.commit(forced)
         assert registry.site("S1").queue == ["two"]
 
     def test_nofit_job_keeps_queue_position(self):
@@ -147,6 +153,7 @@ class TestTryFormBundle:
             registry.bind(job, job_id)
         forced = registry.try_form_bundle(registry.site("S1"), jobs, force=True)
         assert forced.job_ids == ["tall", "a", "b"]
+        registry.commit(forced)
         assert registry.site("S1").queue == ["wide"]
 
     def test_min_fill_alone_suffices(self):
@@ -192,6 +199,7 @@ class TestTryFormBundle:
                 break
             assert bundle.request_cores <= 6
             assert bundle.request_minutes <= 100
+            registry.commit(bundle)
 
 
 class TestFlush:
@@ -228,34 +236,107 @@ class TestFlush:
         assert [b.job_ids for b in registry.flush_due_sites(now=90, jobs=jobs)] == [["j"]]
 
 
-class TestRequeue:
-    def test_requeue_restores_original_relative_order(self):
+class TestCommit:
+    def abc_registry(self):
         policy = BundlePolicy(min_jobs=2, min_fill=1.0, timeout_buffer_minutes=0)
         registry = make_registry([site("S1", 6, 100)], policy)
         jobs = {"a": StubJob(2, 10), "b": StubJob(2, 10), "c": StubJob(2, 10)}
         for job_id, job in jobs.items():
             registry.bind(job, job_id)
+        return registry, jobs
+
+    def test_commit_removes_only_the_members(self):
+        registry, jobs = self.abc_registry()
         bundle = registry.try_form_bundle(registry.site("S1"), jobs)
         assert bundle.job_ids == ["a", "b"]
-        assert registry.site("S1").queue == ["c"]
-        # Backend rejected the bundle: members slot back in before c.
-        for job_id in bundle.job_ids:
-            registry.requeue_in_order(registry.site("S1"), job_id)
         assert registry.site("S1").queue == ["a", "b", "c"]
+        registry.commit(bundle)
+        assert registry.site("S1").queue == ["c"]
+
+    def test_uncommitted_proposal_leaves_nothing_to_undo(self):
+        # A bundle the backend rejects is never committed: the queue is
+        # as it was, and the next attempt proposes the same members.
+        registry, jobs = self.abc_registry()
+        first = registry.try_form_bundle(registry.site("S1"), jobs)
+        again = registry.try_form_bundle(registry.site("S1"), jobs)
+        assert registry.site("S1").queue == ["a", "b", "c"]
+        assert again.job_ids == first.job_ids == ["a", "b"]
+        assert (first.bundle_id, again.bundle_id) == ("B00001", "B00002")
 
     def test_enqueue_appends_as_fresh_arrival(self):
-        registry = make_registry([site("S1", 6, 100)])
-        jobs = {"a": StubJob(2, 10), "b": StubJob(2, 10)}
-        registry.bind(jobs["a"], "a")
-        registry.bind(jobs["b"], "b")
+        registry, jobs = self.abc_registry()
+        registry.commit(registry.try_form_bundle(registry.site("S1"), jobs))
+        registry.enqueue(registry.site("S1"), "a")
+        assert registry.site("S1").queue == ["c", "a"]
+
+    def test_switching_off_empties_the_queue(self):
+        registry, _ = self.abc_registry()
         site_ = registry.site("S1")
-        site_.queue.remove("a")
-        registry.enqueue(site_, "a")
-        assert site_.queue == ["b", "a"]
-        # A later in-order requeue of b now lands before a's new position.
-        site_.queue.remove("b")
-        registry.requeue_in_order(site_, "b")
-        assert site_.queue == ["b", "a"]
+        assert registry.set_active(site_, False) == ["a", "b", "c"]
+        assert site_.queue == [] and not site_.active
+        assert registry.set_active(site_, True) == []
+        assert site_.queue == [] and site_.active
+
+
+SITE_COUNT = 3
+queue_steps = st.lists(st.one_of(
+    st.tuples(st.just("bind"), st.integers(1, 8), st.integers(1, 150)),
+    st.tuples(st.just("retry"), st.integers(0, SITE_COUNT - 1), st.integers(0, 999)),
+    st.tuples(st.sampled_from(["accept", "reject"]), st.integers(0, SITE_COUNT - 1),
+              st.booleans()),
+    st.tuples(st.sampled_from(["deactivate", "reactivate"]), st.integers(0, SITE_COUNT - 1)),
+), max_size=80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**16), queue_steps)
+def test_queues_match_the_cut_and_requeue_model(seed, steps):
+    """Propose-then-commit keeps the queues that cut-then-requeue kept."""
+    sites = [site("S0", 6, 100), site("S1", 8, 200), site("S2", 4, 400)]
+    policy = BundlePolicy(min_jobs=3, min_fill=0.6, timeout_buffer_minutes=5)
+    registry = make_registry(sites, policy, seed)
+    model = QueueModel(s.site_id for s in sites)
+    jobs: dict[str, StubJob] = {}
+    idle: list[str] = []  # in no queue: unbindable, in an accepted bundle, or drained
+
+    def bind(job_id):
+        bound = registry.bind(jobs[job_id], job_id)
+        if bound is None:
+            idle.append(job_id)
+        else:
+            model.append(bound.site_id, job_id)
+
+    for kind, *args in steps:
+        if kind == "bind":
+            job_id = f"j{len(jobs)}"
+            jobs[job_id] = StubJob(*args)
+            bind(job_id)
+        elif kind == "retry" and idle:
+            # As the dispatcher retries: back onto an active site, else rebind.
+            job_id = idle.pop(args[1] % len(idle))
+            target = sites[args[0]]
+            if target.active:
+                registry.enqueue(target, job_id)
+                model.append(target.site_id, job_id)
+            else:
+                bind(job_id)
+        elif kind in ("accept", "reject"):
+            target = sites[args[0]]
+            bundle = registry.try_form_bundle(target, jobs, force=args[1])
+            if bundle is not None:
+                model.form(target.site_id, bundle.job_ids)
+                if kind == "accept":
+                    registry.commit(bundle)
+                    idle += bundle.job_ids
+                else:
+                    model.reject(target.site_id, bundle.job_ids)
+        elif kind == "deactivate":
+            drained = registry.set_active(sites[args[0]], False)
+            assert drained == model.drain(sites[args[0]].site_id)
+            idle += drained
+        elif kind == "reactivate":
+            assert registry.set_active(sites[args[0]], True) == []
+        assert registry.snapshot_queues() == model.queues
 
 
 class TestSnapshot:

@@ -228,7 +228,8 @@ class TestFaultOutcomes:
         assert job.doublings == 0
         assert job.attempts == 2  # resubmitted
         assert job.state is JobState.BUNDLED
-        assert dispatcher.bundle_reports[0].outcome_counts == {"NODE_FAULT": 1}
+        # COMPLETED, TIMEOUT, NODE_FAULT, CANCELLED, FAILED
+        assert dispatcher.bundle_reports[0].outcome_counts == (0, 0, 1, 0, 0)
 
     def test_failed_with_sentinel_is_genuine_job_error(self):
         dispatcher, backend, sink = build()

@@ -6,13 +6,15 @@ the simulation to the end and checks invariants that must hold for any
 such input: terminal states, one result envelope per job, an event log
 that never acts on a finished bundle or starts a step before its
 predecessors end, placements inside each bundle's request, and a replay
-that reproduces the log byte for byte.
+that reproduces the log byte for byte.  A metamorphic property adds a
+site that fits no job and expects every output byte to stay the same.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hpcbundle.bundling import BundlePolicy, ExecutionSite
 from hpcbundle.dispatcher import TERMINAL_STATES, JobSpec, JobState
+from hpcbundle.metrics import jobs_csv_text, metrics_csv_text
 from hpcbundle.simcluster import (
     EV_BUNDLE_END,
     EV_BUNDLE_START,
@@ -151,3 +153,25 @@ def test_whole_run_properties(scenario):
     check_log(report)
     check_placements(report)
     assert build(scenario).run().event_log_text == report.event_log_text
+
+
+def output_texts(report) -> tuple[str, str, str]:
+    """events.log, metrics.csv and jobs.csv, as `hpcbundle simulate` writes them."""
+    return (report.event_log_text, metrics_csv_text(report.dispatcher),
+            jobs_csv_text(report.dispatcher))
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenarios(), st.data())
+def test_a_site_no_job_fits_changes_no_output_byte(scenario, data):
+    sites, jobs, policy, config = scenario
+    # Too short for every job's first request plus the buffer, so for every
+    # doubled request too: no job can ever bind there.
+    walltime = min(req for _, _, req, *_ in jobs) + policy.timeout_buffer_minutes - 1
+    assume(walltime >= 1)
+    extra = ("SX", data.draw(st.integers(1, 12)), walltime,
+             data.draw(st.booleans()), data.draw(queue_waits), data.draw(stall_windows()))
+    position = data.draw(st.integers(0, len(sites)))
+    wider = [*sites[:position], extra, *sites[position:]]
+    before = output_texts(build(scenario).run())
+    assert output_texts(build((wider, jobs, policy, config)).run()) == before

@@ -21,7 +21,7 @@ from hpcbundle.simcluster import (
     derive_rng,
     schedule_steps,
 )
-from hpcbundle.dispatcher import AccountingRecord
+from hpcbundle.dispatcher import AccountingRecord, BundleArtifacts
 from hpcbundle.stepgraph import StepGraph
 from hpcbundle.workload import parse_policy, parse_sites_text, parse_workload_text
 
@@ -38,13 +38,18 @@ def job(job_id, cores=3, req=30, true=20, arrival=0):
     )
 
 
-def sim(jobs, sites=None, policy=None, **config_kwargs):
+def sim(jobs, sites=None, policy=None, out_dir=None, **config_kwargs):
     sites = sites or [ExecutionSite("S1", 6, 1000)]
     policy = policy or BundlePolicy(
         min_jobs=1, min_fill=0.0, timeout_buffer_minutes=0
     )
     config = SimConfig(**config_kwargs)
-    return Simulation(sites, jobs, policy, config)
+    return Simulation(sites, jobs, policy, config, out_dir=out_dir)
+
+
+def artifacts_on_disk(report, out_dir, handle):
+    """A finished run's artifacts, read back from the tree it wrote under ``out_dir``."""
+    return BundleArtifacts.from_dir(out_dir / report.backend.runs[handle].bundle.bundle_id)
 
 
 def log_times(report, kind):
@@ -266,17 +271,17 @@ class TestHappyPath:
 
 
 class TestStepKillRule:
-    def test_timeout_elapsed_is_allotment_plus_grace(self):
+    def test_timeout_elapsed_is_allotment_plus_grace(self, tmp_path):
         # true 36 > 30 + 5: killed at 35 elapsed minutes, then the doubled
         # request (60) accommodates it.
-        s = sim([job("a", req=30, true=36)], grace_minutes=5)
+        s = sim([job("a", req=30, true=36)], out_dir=tmp_path, grace_minutes=5)
         report = s.run()
         record = report.dispatcher.jobs["a"]
         assert record.timeout_count == 1
         assert record.requested_minutes == 60
         assert record.doublings == 1
         assert record.state is JobState.COMPLETED
-        first = report.backend.runs["sim-00001"].artifacts
+        first = artifacts_on_disk(report, tmp_path, "sim-00001")
         assert "a TIMEOUT 35 124" in first.accounting_text
         assert first.sentinels == {"a": False}
         [env] = report.sink.envelopes
@@ -295,7 +300,7 @@ class TestStepKillRule:
 
 
 class TestBundleKill:
-    def chain_sim(self):
+    def chain_sim(self, out_dir=None):
         jobs = [
             job("a", cores=4, req=10, true=100),
             job("b", cores=4, req=10, true=16),
@@ -306,15 +311,16 @@ class TestBundleKill:
             flush_interval_minutes=60, timeout_buffer_minutes=0,
         )
         return sim(jobs, sites=[ExecutionSite("S1", 4, 1000)],
-                   policy=policy, grace_minutes=5)
+                   policy=policy, out_dir=out_dir, grace_minutes=5)
 
-    def test_overrunning_chain_truncates_followers(self):
-        report = self.chain_sim().run()
+    def test_overrunning_chain_truncates_followers(self, tmp_path):
+        report = self.chain_sim(tmp_path).run()
         first = report.backend.runs["sim-00001"]
+        artifacts = artifacts_on_disk(report, tmp_path, "sim-00001")
         # Stack a -> b -> c, each allotted 10 (+5 grace).  a and b eat the
         # full 15 each; the bundle dies at request 30 + grace 5 = 35, five
         # minutes into c.
-        assert AccountingRecord.from_text(first.artifacts.accounting_text).rows == {
+        assert AccountingRecord.from_text(artifacts.accounting_text).rows == {
             "a": ("TIMEOUT", 15, 124),
             "b": ("TIMEOUT", 15, 124),
             "c": ("CANCELLED", 5, 143),
@@ -335,7 +341,7 @@ class TestBundleKill:
 
 
 class TestStallRecovery:
-    def stalled_sim(self):
+    def stalled_sim(self, out_dir=None):
         jobs = [
             job("A", cores=3, req=10, true=10),
             job("B", cores=3, req=90, true=85),
@@ -348,6 +354,7 @@ class TestStallRecovery:
             jobs,
             sites=[ExecutionSite("S1", 6, 100)],
             policy=policy,
+            out_dir=out_dir,
             grace_minutes=0,
             queue_waits={"S1": QueueWait("fixed", 20)},
             faults=(FaultSpec(GLOBAL_STALL, "S1", window=(35, 250)),),
@@ -359,8 +366,8 @@ class TestStallRecovery:
         assert log_times(report, "CANCEL") == [210]
         assert log_times(report, "CANCEL_FAILED") == []
 
-    def test_finished_member_kept_unfinished_resubmitted(self):
-        report = self.stalled_sim().run()
+    def test_finished_member_kept_unfinished_resubmitted(self, tmp_path):
+        report = self.stalled_sim(tmp_path).run()
         jobs = report.dispatcher.jobs
         assert jobs["A"].state is JobState.COMPLETED
         assert jobs["A"].attempts == 1  # never re-run
@@ -370,7 +377,7 @@ class TestStallRecovery:
         by_job = {e.job_id: e for e in report.sink.envelopes}
         assert by_job["A"].elapsed_minutes == 10
         assert by_job["B"].elapsed_minutes == 85
-        first = report.backend.runs["sim-00001"].artifacts
+        first = artifacts_on_disk(report, tmp_path, "sim-00001")
         assert "A COMPLETED 10 0" in first.accounting_text
         assert "B CANCELLED 15 143" in first.accounting_text  # froze at 35
 
@@ -391,9 +398,30 @@ class TestStallRecovery:
         assert record.attempts == 1
         assert report.sink.envelopes[0].elapsed_minutes == 10
 
+    def test_suppressed_finish_keeps_artifacts_until_the_cancel(self, monkeypatch):
+        # The swallowed FINISHED hands nothing over, so the finished run
+        # still holds its artifacts when the cancel comes, and then not.
+        held = []
+        original_cancel = SimCluster.cancel
+
+        def cancel(self, handle):
+            held.append(self.runs[handle].artifacts is not None)
+            artifacts = original_cancel(self, handle)
+            held.append(self.runs[handle].artifacts is None and artifacts is not None)
+            return artifacts
+
+        monkeypatch.setattr(SimCluster, "cancel", cancel)
+        report = sim(
+            [job("a", req=30, true=10)],
+            grace_minutes=0,
+            faults=(FaultSpec(GLOBAL_STALL, "S1", window=(10, 500)),),
+        ).run()
+        assert held == [True, True]
+        assert report.dispatcher.jobs["a"].state is JobState.COMPLETED
+
 
 class TestFinishedRuns:
-    def test_runs_release_their_working_state(self, monkeypatch):
+    def test_runs_release_their_working_state(self, monkeypatch, tmp_path):
         make_inputs, seed, policy, _ = GOLDEN["faults"]
         sites_text, workload_text = make_inputs()
         contents = parse_sites_text(sites_text)
@@ -407,7 +435,8 @@ class TestFinishedRuns:
 
         monkeypatch.setattr(SimCluster, "submit", submit)
         report = Simulation(contents.sites, parse_workload_text(workload_text),
-                            parse_policy(policy), contents.build_config(seed=seed)).run()
+                            parse_policy(policy), contents.build_config(seed=seed),
+                            out_dir=tmp_path).run()
         gc.collect()
         assert graphs and graphs[0]() is None
 
@@ -417,10 +446,12 @@ class TestFinishedRuns:
         for run in runs.values():
             assert run.finalized
             assert run.schedule is None and run.rows is None and run.materials is None
-            accounting = AccountingRecord.from_text(run.artifacts.accounting_text)
+            assert run.artifacts is None  # handed to the dispatcher, kept on disk
+            artifacts = artifacts_on_disk(report, tmp_path, run.handle)
+            accounting = AccountingRecord.from_text(artifacts.accounting_text)
             assert accounting.bundle_id == run.bundle.bundle_id
             assert list(accounting.rows) == run.bundle.job_ids
-            assert sorted(run.artifacts.sentinels) == sorted(run.bundle.job_ids)
+            assert sorted(artifacts.sentinels) == sorted(run.bundle.job_ids)
             if run.started_at is not None:
                 started += 1
                 assert run.started_at <= run.finalized_at
@@ -445,9 +476,10 @@ class TestCancelWhileQueued:
         assert report.dispatcher.all_terminal()
 
 class TestInjectedFaults:
-    def test_node_fault_retried_without_doubling(self):
+    def test_node_fault_retried_without_doubling(self, tmp_path):
         s = sim(
             [job("a", req=30, true=20)],
+            out_dir=tmp_path,
             faults=(FaultSpec(NODE_FAULT, "a", times=1),),
         )
         report = s.run()
@@ -456,7 +488,7 @@ class TestInjectedFaults:
         assert record.attempts == 2
         assert record.doublings == 0
         assert record.timeout_count == 0
-        first = report.backend.runs["sim-00001"].artifacts
+        first = artifacts_on_disk(report, tmp_path, "sim-00001")
         assert "a FAILED 20 1" in first.accounting_text
         assert first.sentinels == {"a": False}
 

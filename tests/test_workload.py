@@ -153,6 +153,13 @@ class TestSitesParsing:
              "queue_wait = uniform 10 5\n", 4, "0 <= LOW <= HIGH"),
             ("[site s]\ncores_per_node = 4\nmax_walltime_minutes = 9\n"
              "queue_wait = fixed -1\n", 4, "0 <= LOW <= HIGH"),
+            ("[sim]\ngrace_minutes = 5\ntick_minutes = 0\n", 3, "tick_minutes must be >= 1"),
+            ("[sim]\ngrace_minutes = -3\n", 2, "grace_minutes must be >= 0"),
+            ("[site s]\ncores_per_node = 4\nmax_walltime_minutes = 9\n"
+             "[fault]\nkind = GLOBAL_STALL\ntarget = s\nwindow = 0 10\n"
+             "[fault]\nkind = GLOBAL_STALL\ntarget = nosuch\nwindow = 0 10\n"
+             "[fault]\nkind = GLOBAL_STALL\ntarget = nosuch\nwindow = 20 30\n", 8,
+             "GLOBAL_STALL target 'nosuch' names no site"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, lineno, fragment):
@@ -171,8 +178,10 @@ class TestSitesParsing:
 
     def test_distinct_faults_and_touching_windows_accepted(self):
         # One fault of each kind per target, and stall windows that only
-        # touch, as SimCluster accepts them.
+        # touch, as SimCluster accepts them, on sites the file declares.
         text = (
+            "[site s]\ncores_per_node = 4\nmax_walltime_minutes = 9\n"
+            "[site t]\ncores_per_node = 4\nmax_walltime_minutes = 9\n"
             "[fault]\nkind = STEP_OVERRUN\ntarget = j\nmultiplier = 2\n"
             "[fault]\nkind = NODE_FAULT\ntarget = j\n"
             "[fault]\nkind = STEP_OVERRUN\ntarget = k\nmultiplier = 3\n"
