@@ -13,13 +13,13 @@ from .dispatcher import (
     AccountingRecord,
     BackendRejection,
     BundleArtifacts,
-    BundleMaterials,
     CollectingSink,
     Dispatcher,
     JobRecord,
     JobSpec,
     JobState,
     ResultEnvelope,
+    make_text,
 )
 from .packing import (
     FreeRect,
@@ -54,7 +54,6 @@ __all__ = [
     "BackendRejection",
     "Bundle",
     "BundleArtifacts",
-    "BundleMaterials",
     "BundlePolicy",
     "CollectingSink",
     "Dispatcher",
@@ -82,6 +81,7 @@ __all__ = [
     "emit_make",
     "emit_sites",
     "emit_workload",
+    "make_text",
     "parse_policy",
     "parse_sites_text",
     "parse_workload_text",

@@ -14,11 +14,11 @@ import sys
 from pathlib import Path
 
 from .bundling import ExecutionSite
-from .dispatcher import MAKEFILE_FILENAME, default_command
+from .dispatcher import MAKEFILE_FILENAME, make_text
 from .metrics import aggregate, summarize, write_jobs_csv, write_metrics_csv
 from .packing import PackingBin, ResourceRect
 from .simcluster import Simulation
-from .stepgraph import emit_make, step_graph
+from .stepgraph import step_graph
 from .workload import (
     ParseError,
     SiteFileContents,
@@ -101,8 +101,8 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     lines.append(f"request: {cores} cores x {minutes} min "
                  f"(waste {bin_.waste_fraction():.4f})")
     lines.append("")
-    make_text = emit_make(graph, default_command)
-    lines.append(make_text)
+    script = make_text(graph)
+    lines.append(script)
     labels = [job_id[0] if job_id else "?" for job_id, _ in members]
     lines.append(bin_.render(row_minutes=args.row_minutes, labels=labels))
     text = "\n".join(lines)
@@ -111,7 +111,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "pack.txt").write_text(text + "\n")
-        (out / MAKEFILE_FILENAME).write_text(make_text)
+        (out / MAKEFILE_FILENAME).write_text(script)
     return 0
 
 

@@ -141,14 +141,16 @@ class AccountingRecord:
 
     @classmethod
     def from_text(cls, text: str) -> "AccountingRecord":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("bundle_id "):
-            raise ValueError("accounting line 1: missing 'bundle_id' header")
-        bundle_id = lines[0][len("bundle_id "):].strip()
+        # Errors name the line of the text itself; blank lines are skipped.
+        lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+        header_no, header = lines[0] if lines else (1, "")
+        if not header.startswith("bundle_id "):
+            raise ValueError(f"accounting line {header_no}: missing 'bundle_id' header")
+        bundle_id = header[len("bundle_id "):].strip()
         if not bundle_id:
-            raise ValueError("accounting line 1: 'bundle_id' header names no bundle")
+            raise ValueError(f"accounting line {header_no}: 'bundle_id' header names no bundle")
         rows: dict[str, tuple[str, int, int]] = {}
-        for lineno, line in enumerate(lines[1:], start=2):
+        for lineno, line in lines[1:]:
             parts = line.split()
             if len(parts) != 4:
                 raise ValueError(f"accounting line {lineno}: expected 4 fields, got {len(parts)}")
@@ -156,12 +158,17 @@ class AccountingRecord:
             if word not in _ACCT_WORDS:
                 raise ValueError(f"accounting line {lineno}: unknown state word {word!r}")
             try:
-                rows[job_id] = (word, int(elapsed), int(code))
+                row = (word, int(elapsed), int(code))
             except ValueError:
                 raise ValueError(
                     f"accounting line {lineno}: elapsed {elapsed!r} and exit code {code!r} "
                     "must be integers"
                 ) from None
+            if job_id in rows:
+                first = next(n for n, ln in lines[1:] if ln.split()[0] == job_id)
+                raise ValueError(f"accounting line {lineno}: second row for job {job_id!r}, "
+                                 f"first at line {first}")
+            rows[job_id] = row
         return cls(bundle_id=bundle_id, rows=rows)
 
 
@@ -195,18 +202,6 @@ class BundleArtifacts:
                 (step_dir / SENTINEL_FILENAME).write_text("done\n")
 
 
-@dataclass(frozen=True)
-class BundleMaterials:
-    """The step order of one bundle; each step's allotment is its placement's height."""
-
-    graph: StepGraph
-
-    @property
-    def make_text(self) -> str:
-        """The bundle's make script, rendered on demand."""
-        return emit_make(self.graph, default_command)
-
-
 @dataclass(frozen=True, slots=True)
 class ResultEnvelope:
     """Per-job result or error forwarded to the gateway-side sink."""
@@ -224,8 +219,8 @@ class BackendRejection(Exception):
 
 
 class Backend(Protocol):
-    def submit(self, bundle: Bundle, materials: BundleMaterials) -> str:
-        """Accept a bundle for execution and return an opaque handle."""
+    def submit(self, bundle: Bundle, graph: StepGraph) -> str:
+        """Accept a bundle and its step order; return an opaque handle."""
         ...
 
     def cancel(self, handle: str) -> BundleArtifacts | None:
@@ -252,6 +247,15 @@ def default_command(job_id: str) -> str:
     return f"run-kim-job {job_id}"
 
 
+def make_text(graph: StepGraph) -> str:
+    """A bundle's make script: its step order, each step running ``default_command``."""
+    return emit_make(graph, default_command)
+
+
+def _no_record(now: int, kind: str, detail: str) -> None:
+    """The default recorder: lifecycle records go nowhere."""
+
+
 class Dispatcher:
     """Single event-loop owner of all job and bundle state.
 
@@ -265,13 +269,13 @@ class Dispatcher:
         registry: SiteRegistry,
         backend: Backend,
         sink: ResultsSink,
-        recorder: Callable[[int, str, str], None] | None = None,
+        recorder: Callable[[int, str, str], None] = _no_record,
     ):
         self.registry = registry
         self.policy: BundlePolicy = registry.policy
         self.backend = backend
         self.sink = sink
-        self._recorder = recorder
+        self._record = recorder
         self.jobs: dict[str, JobRecord] = {}
         self.in_flight: dict[str, Bundle] = {}
         self.finalized: set[str] = set()
@@ -302,8 +306,6 @@ class Dispatcher:
         self.jobs[job.job_id] = job
         self.state_counts[job.state] += 1
         self._bind_or_error(job, now)
-        if job.bound_site is not None:
-            self._attempt_formation(self.registry.site(job.bound_site), now)
         return job
 
     def _bind_or_error(self, job: JobRecord, now: int) -> None:
@@ -314,6 +316,7 @@ class Dispatcher:
         job.bound_site = site.site_id
         self._set_state(job, JobState.BOUND, now)
         self._record(now, "BIND", f"{job.job_id} -> {site.site_id}")
+        self._attempt_formation(site, now)
 
     # -- bundle formation and submission --------------------------------
 
@@ -331,9 +334,8 @@ class Dispatcher:
 
     def submit(self, bundle: Bundle, now: int) -> str | None:
         """Submit a proposed bundle; its members leave the queue only if accepted."""
-        materials = BundleMaterials(graph=step_graph(bundle.members))
         try:
-            handle = self.backend.submit(bundle, materials)
+            handle = self.backend.submit(bundle, step_graph(bundle.members))
         except BackendRejection as exc:
             self._record(now, "REJECTED", f"{bundle.bundle_id} at {bundle.site_id}: {exc}")
             return None
@@ -375,9 +377,7 @@ class Dispatcher:
         self._record(now, "NOTIFY", f"{bundle.bundle_id} {kind}")
         if kind == EVENT_RUNNING:
             for job_id, _ in bundle.members:
-                job = self.jobs[job_id]
-                if job.state is JobState.BUNDLED:
-                    self._set_state(job, JobState.RUNNING, now)
+                self._mark_running_if_needed(self.jobs[job_id], now)
         elif kind == EVENT_FINISHED:
             if artifacts is None:
                 raise ValueError(f"FINISHED event for {handle} carries no artifacts")
@@ -395,14 +395,11 @@ class Dispatcher:
         the sentinel packages a result.  An unparsable accounting file is
         treated as a hardware fault for every unfinished member.
         """
-        bundle = self.in_flight.pop(handle, None)
-        if bundle is None:
-            raise KeyError(f"unknown bundle handle {handle!r}")
+        bundle = self.in_flight.pop(handle)
         self.finalized.add(handle)
 
         try:
-            accounting = AccountingRecord.from_text(artifacts.accounting_text)
-            rows = accounting.rows
+            rows = AccountingRecord.from_text(artifacts.accounting_text).rows
         except ValueError as exc:
             self._record(now, "BAD_ACCOUNTING", f"{bundle.bundle_id}: {exc}")
             rows = {}
@@ -411,8 +408,6 @@ class Dispatcher:
         tallies = dict.fromkeys(OUTCOMES, 0)
         for job_id, _ in bundle.members:
             job = self.jobs[job_id]
-            if job.state in TERMINAL_STATES:
-                continue
             word, elapsed, code = rows.get(job_id, ("", 0, 0))
             status = self._classify(word, artifacts.sentinels.get(job_id, False))
             verdicts.append(f"{job_id}={status}")
@@ -437,16 +432,7 @@ class Dispatcher:
         if status == ACCT_COMPLETED:
             self._mark_running_if_needed(job, now)
             self._set_state(job, JobState.COMPLETED, now)
-            self.sink.deliver(
-                ResultEnvelope(
-                    job_id=job.job_id,
-                    test_id=job.test_id,
-                    model_id=job.model_id,
-                    status="completed",
-                    elapsed_minutes=elapsed,
-                    attempts=job.attempts,
-                )
-            )
+            self._deliver(job, "completed", elapsed)
         elif status == ACCT_TIMEOUT:
             self.handle_timeout(job, now)
         elif status == ACCT_FAILED:
@@ -477,14 +463,10 @@ class Dispatcher:
             self._mark_running_if_needed(job, now)
             self._error(job, now, "flaky-error", f"retry cap reached after {job.attempts} attempts")
             return
-        self._to_bound(job, now)
-        site = self.registry.site(job.bound_site) if job.bound_site else None
-        buffer = self.policy.timeout_buffer_minutes
-        if (
-            site is not None
-            and site.active
-            and site.accommodates(job.cores, job.requested_minutes, buffer)
-        ):
+        self._set_state(job, JobState.BOUND, now)
+        site = self.registry.site(job.bound_site)
+        if site.active and site.accommodates(job.cores, job.requested_minutes,
+                                             self.policy.timeout_buffer_minutes):
             self.registry.enqueue(site, job.job_id)
             self._attempt_formation(site, now)
         else:
@@ -506,10 +488,6 @@ class Dispatcher:
         self._record(now, "REBIND", f"{job.job_id} {previous} -> {site.site_id}")
         self._attempt_formation(site, now)
 
-    def _to_bound(self, job: JobRecord, now: int) -> None:
-        if job.state is not JobState.BOUND:
-            self._set_state(job, JobState.BOUND, now)
-
     # -- heartbeat monitor ----------------------------------------------
 
     def monitor(self, now: int) -> list[str]:
@@ -521,8 +499,7 @@ class Dispatcher:
         """
         cancelled: list[str] = []
         threshold = self.policy.heartbeat_factor
-        for handle in list(self.in_flight):
-            bundle = self.in_flight[handle]
+        for handle, bundle in list(self.in_flight.items()):
             if now - bundle.last_event_at <= threshold * bundle.request_minutes:
                 continue
             artifacts = self.backend.cancel(handle)
@@ -561,25 +538,16 @@ class Dispatcher:
         job.error_kind = kind
         self._set_state(job, JobState.ERRORED, now)
         self._record(now, "ERROR", f"{job.job_id} {kind}: {detail}")
-        self.sink.deliver(
-            ResultEnvelope(
-                job_id=job.job_id,
-                test_id=job.test_id,
-                model_id=job.model_id,
-                status=kind,
-                elapsed_minutes=0,
-                attempts=job.attempts,
-            )
-        )
+        self._deliver(job, kind, 0)
+
+    def _deliver(self, job: JobRecord, status: str, elapsed: int) -> None:
+        self.sink.deliver(ResultEnvelope(job.job_id, job.test_id, job.model_id, status,
+                                         elapsed, job.attempts))
 
     def _set_state(self, job: JobRecord, new_state: JobState, now: int) -> None:
         self.state_counts[job.state] -= 1
         job.transition(new_state, now)
         self.state_counts[new_state] += 1
-
-    def _record(self, now: int, kind: str, detail: str) -> None:
-        if self._recorder is not None:
-            self._recorder(now, kind, detail)
 
     def terminal_count(self) -> int:
         return self.state_counts[JobState.COMPLETED] + self.state_counts[JobState.ERRORED]

@@ -38,11 +38,11 @@ from .dispatcher import (
     AccountingRecord,
     BackendRejection,
     BundleArtifacts,
-    BundleMaterials,
     CollectingSink,
     Dispatcher,
     JobSpec,
     MAKEFILE_FILENAME,
+    make_text,
 )
 from .stepgraph import StepGraph
 
@@ -183,28 +183,28 @@ def schedule_steps(graph: StepGraph, durations: dict[str, int]) -> dict[str, tup
 class _BundleRun:
     """Mutable per-submission state inside the simulator.
 
-    Finalization releases the working state: ``schedule``, ``rows`` and
-    ``materials`` become ``None``, and ``sentinels`` live on as
-    ``artifacts.sentinels``.  The artifacts go to the dispatcher once, with
+    ``rows`` holds each concluded step's accounting row, its one outcome
+    record.  Finalization renders the artifacts from the rows and releases
+    the working state: ``schedule``, ``rows`` and ``graph`` become
+    ``None``.  The artifacts go to the dispatcher once, with
     the delivered FINISHED notification or from ``SimCluster.cancel``, and
     then become ``None`` here too.  A finished run keeps ``handle``,
     ``bundle``, ``site_id``, ``wait``, ``started_at`` and ``finalized_at``.
     """
 
-    __slots__ = ("handle", "bundle", "materials", "site_id", "wait", "started_at",
-                 "finalized_at", "schedule", "rows", "sentinels", "artifacts")
+    __slots__ = ("handle", "bundle", "graph", "site_id", "wait", "started_at",
+                 "finalized_at", "schedule", "rows", "artifacts")
 
-    def __init__(self, handle: str, bundle: Bundle, materials: BundleMaterials, wait: int):
+    def __init__(self, handle: str, bundle: Bundle, graph: StepGraph, wait: int):
         self.handle = handle
         self.bundle = bundle
-        self.materials: BundleMaterials | None = materials
+        self.graph: StepGraph | None = graph
         self.site_id = bundle.site_id
         self.wait = wait
         self.started_at: int | None = None
         self.finalized_at: int | None = None
         self.schedule: dict[str, StepSchedule] | None = {}
         self.rows: dict[str, tuple[str, int, int]] | None = {}
-        self.sentinels: dict[str, bool] | None = {}
         self.artifacts: BundleArtifacts | None = None
 
     @property
@@ -295,7 +295,7 @@ class SimCluster:
 
     # -- backend contract ------------------------------------------------
 
-    def submit(self, bundle: Bundle, materials: BundleMaterials) -> str:
+    def submit(self, bundle: Bundle, graph: StepGraph) -> str:
         now = self.sim.now
         site = self.sim.registry.site(bundle.site_id)
         if (bundle.request_cores > site.cores_per_node
@@ -307,7 +307,7 @@ class SimCluster:
         self._handle_seq += 1
         handle = f"sim-{self._handle_seq:05d}"
         wait = self.config.wait_for(site.site_id).sample(self._wait_rng(site.site_id))
-        run = _BundleRun(handle, bundle, materials, wait)
+        run = _BundleRun(handle, bundle, graph, wait)
         self.runs[handle] = run
         self.sim.push(now, self.sim.on_notify, handle, EVENT_ACCEPTED)
         self.sim.push(now, self.sim.on_notify, handle, EVENT_QUEUED)
@@ -341,7 +341,7 @@ class SimCluster:
             true = self.sim.true_runtime(job_id) * self._overrun.get(job_id, 1)
             timed_out[job_id] = true > allotment + grace
             durations[job_id] = min(true, allotment + grace)
-        nominal = schedule_steps(run.materials.graph, durations)
+        nominal = schedule_steps(run.graph, durations)
         site = run.site_id
         for job_id, (rel_start, rel_end) in nominal.items():
             sched = StepSchedule(
@@ -358,13 +358,12 @@ class SimCluster:
 
     def on_step_start(self, handle: str, job_id: str, now: int) -> None:
         run = self.runs[handle]
-        if run.finalized:
-            return
-        self.sim.record(now, EV_STEP_START, f"{run.bundle.bundle_id}/{job_id}")
+        if not run.finalized:
+            self.sim.record(now, EV_STEP_START, f"{run.bundle.bundle_id}/{job_id}")
 
     def on_step_end(self, handle: str, job_id: str, now: int) -> None:
         run = self.runs[handle]
-        if run.finalized or job_id in run.rows:
+        if run.finalized:
             return
         self._conclude_step(run, job_id, now)
         if len(run.rows) == len(run.bundle.members):
@@ -372,26 +371,22 @@ class SimCluster:
 
     def on_bundle_end(self, handle: str, now: int) -> None:
         run = self.runs[handle]
-        if run.finalized:
-            return
-        self._finalize(run, now, killed=True, notify=True)
+        if not run.finalized:
+            self._finalize(run, now, killed=True, notify=True)
 
     # -- outcome recording ----------------------------------------------
 
     def _conclude_step(self, run: _BundleRun, job_id: str, now: int) -> None:
+        # Only a COMPLETED step writes its sentinel (see ``_finalize``).
         sched = run.schedule[job_id]
         if sched.timed_out:
             word, code = ACCT_TIMEOUT, TIMEOUT_EXIT_CODE
-            sentinel = False
         elif self._sentinel_suppression.get(job_id, 0) > 0:
             self._sentinel_suppression[job_id] -= 1
             word, code = ACCT_FAILED, 1
-            sentinel = False
         else:
             word, code = ACCT_COMPLETED, 0
-            sentinel = True
         run.rows[job_id] = (word, sched.duration, code)
-        run.sentinels[job_id] = sentinel
         self.sim.record(now, EV_STEP_END,
                         f"{run.bundle.bundle_id}/{job_id} {word} elapsed {sched.duration}")
 
@@ -405,27 +400,21 @@ class SimCluster:
                 # its own verdict stands.
                 self._conclude_step(run, job_id, now)
                 continue
-            if sched is None or sched.start >= now:
-                elapsed = 0
-            else:
-                elapsed = self.progress(run.site_id, sched.start, now)
+            elapsed = (0 if sched is None or sched.start >= now
+                       else self.progress(run.site_id, sched.start, now))
             run.rows[job_id] = (ACCT_CANCELLED, elapsed, CANCEL_EXIT_CODE)
-            run.sentinels[job_id] = False
             self.sim.record(now, EV_STEP_END,
                             f"{run.bundle.bundle_id}/{job_id} {ACCT_CANCELLED} elapsed {elapsed}")
         run.finalized_at = now
-        accounting = AccountingRecord(
-            bundle_id=run.bundle.bundle_id,
-            rows={job_id: run.rows[job_id] for job_id, _ in run.bundle.members},
+        rows = {job_id: run.rows[job_id] for job_id, _ in run.bundle.members}
+        run.artifacts = BundleArtifacts(
+            accounting_text=AccountingRecord(run.bundle.bundle_id, rows).to_text(),
+            sentinels={job_id: row[0] == ACCT_COMPLETED for job_id, row in rows.items()},
         )
-        # Nothing writes the sentinels after this point, so the artifacts
-        # take the dict as it is.
-        run.artifacts = BundleArtifacts(accounting_text=accounting.to_text(),
-                                        sentinels=run.sentinels)
         self.sim.record(now, EV_BUNDLE_END,
                         f"{run.bundle.bundle_id} {'killed' if killed else 'complete'}")
         self.sim.materialize(run)
-        run.schedule = run.rows = run.materials = run.sentinels = None
+        run.schedule = run.rows = run.graph = None
         if notify:
             self.sim.push(now, self.sim.on_notify, run.handle, EVENT_FINISHED)
 
@@ -517,11 +506,11 @@ class Simulation:
     def materialize(self, run: _BundleRun) -> None:
         # Each concluded step's output.txt is rendered from its accounting
         # row as it is written; a cancelled step has none.
-        if self.out_dir is None or run.artifacts is None:
+        if self.out_dir is None:
             return
         bundle_dir = self.out_dir / run.bundle.bundle_id
         run.artifacts.write_to(bundle_dir)
-        (bundle_dir / MAKEFILE_FILENAME).write_text(run.materials.make_text)
+        (bundle_dir / MAKEFILE_FILENAME).write_text(make_text(run.graph))
         for job_id, (word, elapsed, _) in run.rows.items():
             if word != ACCT_CANCELLED:
                 (bundle_dir / job_id / "output.txt").write_text(

@@ -14,6 +14,7 @@ from hpcbundle.dispatcher import (
     JobSpec,
     JobState,
     RETRY_CAP,
+    make_text,
 )
 
 
@@ -106,10 +107,10 @@ class TestIngest:
         job = dispatcher.ingest(spec(), now=0)
         assert job.state is JobState.BUNDLED
         assert job.attempts == 1
-        handle, bundle, materials = backend.last
+        handle, bundle, graph = backend.last
         assert bundle.job_ids == ["j"]
         assert bundle.members[0][1].rect.minutes == 35  # 30 + default buffer 5
-        assert "run-kim-job j" in materials.make_text
+        assert "run-kim-job j" in make_text(graph)
 
         dispatcher.on_event(handle, "RUNNING", now=5)
         assert job.state is JobState.RUNNING
@@ -445,19 +446,32 @@ class TestAccountingFormat:
         assert parsed.rows == record.rows
 
     @pytest.mark.parametrize(
-        "text",
+        "text, line",
         [
-            "",
-            "no header here\n",
-            "bundle_id B1\na COMPLETED 30\n",  # missing field
-            "bundle_id B1\na WEIRD 30 0\n",  # unknown state word
-            "bundle_id \n",  # header names no bundle
-            "bundle_id B1\na COMPLETED x 0\n",  # non-integer elapsed
+            ("", 1),
+            ("no header here\n", 1),
+            ("bundle_id B1\na COMPLETED 30\n", 2),  # missing field
+            ("bundle_id B1\na WEIRD 30 0\n", 2),  # unknown state word
+            ("bundle_id \n", 1),  # header names no bundle
+            ("bundle_id B1\na COMPLETED x 0\n", 2),  # non-integer elapsed
+            # Blank lines count: the line number is the line of the text.
+            ("bundle_id B1\n\nj1 BAD 1 0\n", 3),
+            ("\n\nno header here\n", 3),
+            ("\nbundle_id \n", 2),
+            ("bundle_id B1\na COMPLETED 5 0\n\n\nb COMPLETED 5\n", 5),
+            # A second row for one job.
+            ("bundle_id B1\nj1 COMPLETED 5 0\n\nj1 FAILED 6 1\n", 4),
         ],
     )
-    def test_rejects_malformed(self, text):
-        with pytest.raises(ValueError, match=r"^accounting line \d+: "):
+    def test_rejects_malformed(self, text, line):
+        with pytest.raises(ValueError, match=rf"^accounting line {line}: "):
             AccountingRecord.from_text(text)
+
+    def test_second_row_for_a_job_names_both_lines(self):
+        text = "bundle_id B1\nj1 COMPLETED 5 0\nj2 COMPLETED 5 0\n\nj1 FAILED 6 1\n"
+        with pytest.raises(ValueError) as err:
+            AccountingRecord.from_text(text)
+        assert str(err.value) == "accounting line 5: second row for job 'j1', first at line 2"
 
 
 class TestArtifactsOnDisk:

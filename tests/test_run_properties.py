@@ -6,9 +6,12 @@ the simulation to the end and checks invariants that must hold for any
 such input: terminal states, one result envelope per job, an event log
 that never acts on a finished bundle or starts a step before its
 predecessors end, placements inside each bundle's request, and a replay
-that reproduces the log byte for byte.  A metamorphic property adds a
-site that fits no job and expects every output byte to stay the same.
+that reproduces the log byte for byte.  Two metamorphic properties
+follow: a site that fits no job changes no output byte, and renaming the
+job ids in an order-preserving way only renames them in the outputs.
 """
+
+import re
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -175,3 +178,22 @@ def test_a_site_no_job_fits_changes_no_output_byte(scenario, data):
     wider = [*sites[:position], extra, *sites[position:]]
     before = output_texts(build(scenario).run())
     assert output_texts(build((wider, jobs, policy, config)).run()) == before
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenarios(), st.from_regex(r"[a-z]{0,3}", fullmatch=True),
+       st.from_regex(r"[a-z]{0,2}", fullmatch=True))
+def test_renaming_job_ids_in_order_only_renames_them_in_the_outputs(scenario, prefix, suffix):
+    sites, jobs, policy, config = scenario
+
+    def rename(job_id: str) -> str:
+        # `JNN` -> `<prefix>NN<suffix>`: the fixed-width number keeps the order.
+        return f"{prefix}{job_id[1:]}{suffix}"
+
+    # The workload and the fault targets (built from the same ids) are renamed.
+    renamed = [(rename(job_id), *rest) for job_id, *rest in jobs]
+    ids = [job_id for job_id, *_ in jobs]
+    assert sorted(map(rename, ids)) == [rename(job_id) for job_id in sorted(ids)]
+    expected = tuple(re.sub(r"\bJ\d{2}\b", lambda m: rename(m.group()), text)
+                     for text in output_texts(build(scenario).run()))
+    assert output_texts(build((sites, renamed, policy, config)).run()) == expected

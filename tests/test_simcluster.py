@@ -428,10 +428,10 @@ class TestFinishedRuns:
         graphs = []
         original_submit = SimCluster.submit
 
-        def submit(self, bundle, materials):
+        def submit(self, bundle, graph):
             if not graphs:
-                graphs.append(weakref.ref(materials.graph))
-            return original_submit(self, bundle, materials)
+                graphs.append(weakref.ref(graph))
+            return original_submit(self, bundle, graph)
 
         monkeypatch.setattr(SimCluster, "submit", submit)
         report = Simulation(contents.sites, parse_workload_text(workload_text),
@@ -445,13 +445,16 @@ class TestFinishedRuns:
         started = 0
         for run in runs.values():
             assert run.finalized
-            assert run.schedule is None and run.rows is None and run.materials is None
+            assert run.schedule is None and run.rows is None and run.graph is None
             assert run.artifacts is None  # handed to the dispatcher, kept on disk
             artifacts = artifacts_on_disk(report, tmp_path, run.handle)
             accounting = AccountingRecord.from_text(artifacts.accounting_text)
             assert accounting.bundle_id == run.bundle.bundle_id
             assert list(accounting.rows) == run.bundle.job_ids
             assert sorted(artifacts.sentinels) == sorted(run.bundle.job_ids)
+            # A step writes its sentinel exactly when it completes.
+            assert artifacts.sentinels == {
+                j: r[0] == "COMPLETED" for j, r in accounting.rows.items()}
             if run.started_at is not None:
                 started += 1
                 assert run.started_at <= run.finalized_at
