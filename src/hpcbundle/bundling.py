@@ -85,8 +85,9 @@ class Bundle:
 
     Placement heights include the timeout buffer; the request is the
     bounding rectangle of the placements, anchored at the origin.  Once
-    submitted, the dispatcher keeps the heartbeat clock and the member
-    outcome tallies (in ``dispatcher.OUTCOMES`` order) here.
+    submitted, the dispatcher keeps the backend's handle, the heartbeat
+    clock and the member outcome tallies (in ``dispatcher.OUTCOMES``
+    order) here.
     """
 
     bundle_id: str
@@ -94,6 +95,7 @@ class Bundle:
     members: list[tuple[str, Placement]]
     request_cores: int
     request_minutes: int
+    handle: str = ""
     last_event_at: int = 0
     outcome_counts: tuple[int, int, int, int, int] = (0, 0, 0, 0, 0)
     consumed_core_minutes: int = 0

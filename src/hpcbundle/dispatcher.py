@@ -278,7 +278,6 @@ class Dispatcher:
         self._record = recorder
         self.jobs: dict[str, JobRecord] = {}
         self.in_flight: dict[str, Bundle] = {}
-        self.finalized: set[str] = set()
         self.bundle_reports: list[Bundle] = []  # every submitted bundle, in order
         # One shared tuple per distinct ``outcome_counts``; most bundles repeat a few.
         self._outcome_counts: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -340,6 +339,7 @@ class Dispatcher:
             self._record(now, "REJECTED", f"{bundle.bundle_id} at {bundle.site_id}: {exc}")
             return None
         self.registry.commit(bundle)
+        bundle.handle = handle
         bundle.last_event_at = now
         for job_id, _ in bundle.members:
             job = self.jobs[job_id]
@@ -366,12 +366,12 @@ class Dispatcher:
         member states; FINISHED triggers artifact analysis.  Events for
         unknown or already-finalized handles are logged and ignored.
         """
-        if handle in self.finalized:
-            self._record(now, "LATE_EVENT", f"{kind} for finalized {handle} ignored")
-            return
         bundle = self.in_flight.get(handle)
-        if bundle is None:
-            self._record(now, "UNKNOWN_EVENT", f"{kind} for unknown {handle} ignored")
+        if bundle is None:  # late events are rare, so scanning the submitted bundles costs little
+            if any(b.handle == handle for b in self.bundle_reports):
+                self._record(now, "LATE_EVENT", f"{kind} for finalized {handle} ignored")
+            else:
+                self._record(now, "UNKNOWN_EVENT", f"{kind} for unknown {handle} ignored")
             return
         bundle.last_event_at = now
         self._record(now, "NOTIFY", f"{bundle.bundle_id} {kind}")
@@ -396,7 +396,6 @@ class Dispatcher:
         treated as a hardware fault for every unfinished member.
         """
         bundle = self.in_flight.pop(handle)
-        self.finalized.add(handle)
 
         try:
             rows = AccountingRecord.from_text(artifacts.accounting_text).rows

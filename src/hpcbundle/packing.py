@@ -11,6 +11,7 @@ moved after placement.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -122,8 +123,8 @@ class PackingBin:
     placements never move.  The free list always holds exactly the maximal
     empty rectangles of the uncovered region, which is what makes the
     corner-only candidate scan in :meth:`insert` equivalent to an
-    exhaustive position search.  Internally each free rectangle is an
-    ``(x, y, right, top)`` tuple of ints.
+    exhaustive position search.  Internally each free rectangle is a
+    ``(y, x, top, right)`` int tuple, kept in ascending (corner) order.
     """
 
     def __init__(self, width: int, height: int):
@@ -134,13 +135,13 @@ class PackingBin:
         self.width = width
         self.height = height
         self.placements: list[Placement] = []
-        self._free: list[tuple[int, int, int, int]] = [(0, 0, width, height)]
+        self._free: list[tuple[int, int, int, int]] = [(0, 0, height, width)]
         self._used = 0
 
     @property
     def free_list(self) -> list[FreeRect]:
-        """Current maximal free rectangles (copies; internal list is private)."""
-        return [FreeRect(x, y, r - x, t - y) for x, y, r, t in self._free]
+        """Current maximal free rectangles in corner order (copies)."""
+        return [FreeRect(x, y, r - x, t - y) for y, x, t, r in self._free]
 
     @property
     def area(self) -> int:
@@ -154,24 +155,19 @@ class PackingBin:
 
         Candidates are the bottom-left corners of free rectangles that can
         hold ``rect``; the winner minimizes the resulting top edge, then
-        the left edge, then the free-list position.  Returns ``None`` when
-        no position exists (the bin is left untouched) -- a full bin is a
-        normal outcome, not an error.
+        the left edge.  That is the free list's (y, x) order, so the first
+        rectangle that holds ``rect`` wins: later ones start higher or
+        further right, or share its corner and give the same placement.
+        Returns ``None`` when no position exists (the bin is left
+        untouched) -- a full bin is a normal outcome, not an error.
         """
         w, h = rect.cores, rect.minutes
-        # Every free corner has x < width, so y * width + x orders the
-        # candidates by (y, x), which is (top edge, left edge) for one rect.
-        width = self.width
-        best = None
-        best_key = self.height * width
-        for fr in self._free:
-            x, y, r, t = fr
-            if r - x >= w and t - y >= h and y * width + x < best_key:
-                best, best_key = fr, y * width + x
-        if best is None:
+        for y, x, t, r in self._free:
+            if r - x >= w and t - y >= h:
+                break
+        else:
             return None
 
-        x, y = best[0], best[1]
         self._split_free(x, y, x + w, y + h)
         placement = Placement(x, y, rect)
         self.placements.append(placement)
@@ -189,39 +185,45 @@ class PackingBin:
         placement's edge line the strip lies on, or it would overlap the
         placement, so strips are checked only against those survivors and
         against the strips already kept.  Strips go largest area first: a
-        strip can lie only inside one of equal or larger area, and the
-        stable sort keeps the first of two equal strips.  List order is not
-        kept: :meth:`insert` breaks ties only among rectangles that share
-        the winning corner, and all of them give the same placement.
+        strip can lie only inside one of equal or larger area.  In corner
+        order, the walk can stop past ``y == pt``: nothing starting at or
+        above the placement's top overlaps it, and no strip starts above
+        ``pt`` (the walls at ``y == pt`` may hold the strip on top).
+        Deleting in place and ``insort`` keep the order.
         """
-        survivors: list[tuple[int, int, int, int]] = []
-        strips: list[tuple[int, int, int, int]] = []
-        for fr in self._free:
-            x, y, r, t = fr
-            if x >= pr or px >= r or y >= pt or py >= t:
-                survivors.append(fr)
-                continue
-            if px > x:
-                strips.append((x, y, px, t))
-            if pr < r:
-                strips.append((pr, y, r, t))
-            if py > y:
-                strips.append((x, y, r, py))
-            if pt < t:
-                strips.append((x, pt, r, t))
+        free = self._free
+        hit, walls, strips = [], [], []
+        for i, fr in enumerate(free):
+            y, x, t, r = fr
+            if y >= pt:
+                if y > pt:
+                    break
+                walls.append(fr)
+            elif x >= pr or px >= r or py >= t:
+                if r == px or x == pr or t == py:
+                    walls.append(fr)
+            else:
+                hit.append(i)
+                if px > x:
+                    strips.append(((px - x) * (t - y), y, x, t, px))
+                if pr < r:
+                    strips.append(((r - pr) * (t - y), y, pr, t, r))
+                if py > y:
+                    strips.append(((r - x) * (py - y), y, x, py, r))
+                if pt < t:
+                    strips.append(((r - x) * (t - pt), pt, x, t, r))
+        for i in reversed(hit):
+            del free[i]
 
-        strips.sort(key=_area, reverse=True)
-        walls = [fr for fr in survivors
-                 if fr[2] == px or fr[0] == pr or fr[3] == py or fr[1] == pt]
-        for s in strips:
-            x, y, r, t = s
-            for wx, wy, wr, wt in walls:
+        strips.sort(reverse=True)
+        for _, y, x, t, r in strips:
+            for wy, wx, wt, wr in walls:
                 if wx <= x and wy <= y and r <= wr and t <= wt:
                     break
             else:
+                s = (y, x, t, r)
                 walls.append(s)
-                survivors.append(s)
-        self._free = survivors
+                insort(free, s)
 
     def bounding(self) -> tuple[int, int]:
         """Bounding (cores, minutes) request for the current contents."""
@@ -258,11 +260,6 @@ class PackingBin:
         rows.reverse()
         footer = "      +" + "-" * self.width + "+"
         return "\n".join(rows + [footer])
-
-
-def _area(rect: tuple[int, int, int, int]) -> int:
-    x, y, r, t = rect
-    return (r - x) * (t - y)
 
 
 def _default_label(index: int) -> str:

@@ -67,13 +67,16 @@ class FakeBackend:
         return self.submissions[-1]
 
 
-def build(sites=None, policy=None, seed=0):
+def build(sites=None, policy=None, seed=0, records=None):
+    """A dispatcher on a fake backend; ``records`` collects ``(kind, text)`` log records."""
     sites = sites or [ExecutionSite("S1", 6, 100)]
     policy = policy or BundlePolicy(min_jobs=1, min_fill=0.0)
     registry = SiteRegistry(sites, policy, random.Random(seed))
     backend = FakeBackend()
     sink = CollectingSink()
-    dispatcher = Dispatcher(registry, backend, sink)
+    log = [] if records is None else records
+    dispatcher = Dispatcher(registry, backend, sink,
+                            recorder=lambda now, kind, text: log.append((kind, text)))
     return dispatcher, backend, sink
 
 
@@ -345,17 +348,49 @@ class TestMonitor:
 
 class TestEvents:
     def test_unknown_handle_ignored(self):
-        dispatcher, _, _ = build()
+        records = []
+        dispatcher, _, _ = build(records=records)
         dispatcher.on_event("nope", "RUNNING", now=5)  # must not raise
+        assert records == [("UNKNOWN_EVENT", "RUNNING for unknown nope ignored")]
+
+    def test_never_issued_handle_is_unknown_among_finalized_ones(self):
+        records = []
+        dispatcher, backend, _ = build(records=records)
+        dispatcher.ingest(spec(), now=0)
+        handle, bundle, _ = backend.last
+        dispatcher.on_event(handle, "FINISHED", now=40,
+                            artifacts=artifacts_for(bundle, {"j": "COMPLETED"}))
+        del records[:]
+        dispatcher.on_event("h99", "RUNNING", now=41)
+        assert records == [("UNKNOWN_EVENT", "RUNNING for unknown h99 ignored")]
 
     def test_late_event_for_finalized_bundle_ignored(self):
-        dispatcher, backend, _ = build()
+        records = []
+        dispatcher, backend, _ = build(records=records)
         dispatcher.ingest(spec(), now=0)
         handle, bundle, _ = backend.last
         arts = artifacts_for(bundle, {"j": "COMPLETED"})
         dispatcher.on_event(handle, "FINISHED", now=40, artifacts=arts)
+        del records[:]
         dispatcher.on_event(handle, "RUNNING", now=41)  # must not raise
         assert dispatcher.jobs["j"].state is JobState.COMPLETED
+        assert records == [("LATE_EVENT", f"RUNNING for finalized {handle} ignored")]
+
+    def test_event_after_monitor_cancel_is_late(self):
+        records = []
+        dispatcher, backend, _ = build(
+            policy=BundlePolicy(min_jobs=1, min_fill=0.0, heartbeat_factor=2.0),
+            records=records)
+        dispatcher.ingest(spec(minutes=30), now=0)  # request 35 buffered
+        handle, bundle, _ = backend.last
+        backend.cancel_result = artifacts_for(bundle, {"j": "CANCELLED"})
+        assert dispatcher.monitor(now=71) == [handle]
+        assert backend.last[0] != handle  # the member was resubmitted under a new handle
+        del records[:]
+        dispatcher.on_event(handle, "FINISHED", now=80,
+                            artifacts=artifacts_for(bundle, {"j": "COMPLETED"}))
+        assert records == [("LATE_EVENT", f"FINISHED for finalized {handle} ignored")]
+        assert dispatcher.jobs["j"].state is JobState.BUNDLED
 
     def test_finished_without_artifacts_is_an_error(self):
         dispatcher, backend, _ = build()

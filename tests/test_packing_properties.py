@@ -127,6 +127,9 @@ def test_free_list_matches_global_prune_oracle(case):
         free = bin_.free_list
         assert len(set(free)) == len(free)
         assert set(free) == set(oracle.free)
+        # Corner order, which lets insert stop at the first fit.
+        corners = [(fr.y, fr.x) for fr in free]
+        assert corners == sorted(corners)
         assert bin_.placements == oracle.placements
         assert bin_.used_area() == sum(p.rect.area for p in bin_.placements)
 

@@ -9,12 +9,19 @@ predecessors end, placements inside each bundle's request, and a replay
 that reproduces the log byte for byte.  Two metamorphic properties
 follow: a site that fits no job changes no output byte, and renaming the
 job ids in an order-preserving way only renames them in the outputs.
+Last, a whole `simulate` run writes the same bytes under any
+``PYTHONHASHSEED``.
 """
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
 
+import hpcbundle
 from hpcbundle.bundling import BundlePolicy, ExecutionSite
 from hpcbundle.dispatcher import TERMINAL_STATES, JobSpec, JobState
 from hpcbundle.metrics import jobs_csv_text, metrics_csv_text
@@ -32,6 +39,7 @@ from hpcbundle.simcluster import (
     Simulation,
 )
 from hpcbundle.stepgraph import step_graph
+from test_golden import GOLDEN, OUTPUTS
 
 _RUN_KINDS = {EV_BUNDLE_START, EV_STEP_START, EV_STEP_END}
 
@@ -197,3 +205,26 @@ def test_renaming_job_ids_in_order_only_renames_them_in_the_outputs(scenario, pr
     expected = tuple(re.sub(r"\bJ\d{2}\b", lambda m: rename(m.group()), text)
                      for text in output_texts(build(scenario).run()))
     assert output_texts(build((sites, renamed, policy, config)).run()) == expected
+
+
+def test_outputs_do_not_depend_on_string_hashing(tmp_path):
+    """`simulate` on the golden faults case writes the same bytes under two hash seeds."""
+    make_inputs, seed, policy, _ = GOLDEN["faults"]
+    sites_text, workload_text = make_inputs()
+    (tmp_path / "sites.txt").write_text(sites_text)
+    (tmp_path / "workload.csv").write_text(workload_text)
+    src = str(Path(hpcbundle.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"out-{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hpcbundle.cli", "simulate", "--seed", str(seed),
+             "--sites", str(tmp_path / "sites.txt"), "--workload", str(tmp_path / "workload.csv"),
+             "--policy", policy, "--out", str(out)],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes() for name in OUTPUTS])
+    assert outputs[0] == outputs[1]
