@@ -12,6 +12,7 @@ the wallclock they requested.
 from __future__ import annotations
 
 import enum
+import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +40,12 @@ EVENT_FINISHED = "FINISHED"
 
 # Attempts after which a job that keeps failing ends as a flaky error.
 RETRY_CAP = 10
+
+# A job id names a step directory, a make target and a word of its recipe,
+# so it may not hold a path separator, a make or shell metacharacter, or
+# begin with '.' or '-'.
+JOB_ID_PATTERN = re.compile(r"[A-Za-z0-9_][A-Za-z0-9._-]*")
+JOB_ID_RULE = "may use only letters, digits, '.', '_' and '-', and may not start with '.' or '-'"
 
 
 class JobState(enum.Enum):
@@ -291,6 +298,8 @@ class Dispatcher:
         """Register a new job, bind it, and try to form a bundle at its site."""
         if spec.cores < 1 or spec.requested_minutes < 1:
             raise ValueError(f"job {spec.job_id!r}: cores and minutes must be positive")
+        if JOB_ID_PATTERN.fullmatch(spec.job_id) is None:
+            raise ValueError(f"job_id {spec.job_id!r} {JOB_ID_RULE}")
         if spec.job_id in self.jobs:
             raise ValueError(f"duplicate job_id {spec.job_id!r}")
         job = JobRecord(

@@ -137,34 +137,36 @@ def _turnaround_stats(turnarounds: Sequence[int]) -> tuple[float, float]:
     return math.fsum(ordered) / len(ordered), p95
 
 
+def _pool_jobs(pairs: Iterable[tuple[str, object]]) -> Summary:
+    """Job-level fields from (state, turnaround) pairs, as jobs.csv holds them."""
+    summary = Summary()
+    turnarounds: list[int] = []
+    for state, turnaround in pairs:
+        summary.n_jobs += 1
+        if state == JobState.COMPLETED.value:
+            summary.n_completed += 1
+        elif state == JobState.ERRORED.value:
+            summary.n_errored += 1
+        else:
+            summary.n_live += 1
+        if turnaround != "":
+            turnarounds.append(int(turnaround))
+    summary.mean_turnaround, summary.p95_turnaround = _turnaround_stats(turnarounds)
+    return summary
+
+
 def summarize(dispatcher: Dispatcher) -> Summary:
-    turnarounds = [
-        job.terminal_at - job.ingested_at
-        for job in dispatcher.jobs.values()
-        if job.terminal_at is not None
-    ]
-    mean, p95 = _turnaround_stats(turnarounds)
-    per_site: dict[str, int] = {}
+    """Job-level fields from the jobs.csv rows, bundle-level ones from the reports."""
+    summary = _pool_jobs((row[3], row[6]) for row in job_rows(dispatcher))
+    summary.n_bundles = len(dispatcher.bundle_reports)
+    summary.timeout_count = dispatcher.timeout_total
+    summary.rebind_count = dispatcher.rebind_total
+    per_site = summary.bundles_per_site
     for bundle in dispatcher.bundle_reports:
         per_site[bundle.site_id] = per_site.get(bundle.site_id, 0) + 1
-    return Summary(
-        n_jobs=len(dispatcher.jobs),
-        n_completed=dispatcher.state_counts[JobState.COMPLETED],
-        n_errored=dispatcher.state_counts[JobState.ERRORED],
-        n_live=dispatcher.live_count(),
-        n_bundles=len(dispatcher.bundle_reports),
-        mean_turnaround=mean,
-        p95_turnaround=p95,
-        timeout_count=dispatcher.timeout_total,
-        rebind_count=dispatcher.rebind_total,
-        bundles_per_site=per_site,
-        core_minutes_requested=sum(
-            r.requested_core_minutes for r in dispatcher.bundle_reports
-        ),
-        core_minutes_consumed=sum(
-            r.consumed_core_minutes for r in dispatcher.bundle_reports
-        ),
-    )
+        summary.core_minutes_requested += bundle.requested_core_minutes
+        summary.core_minutes_consumed += bundle.consumed_core_minutes
+    return summary
 
 
 def read_jobs_csv(path: str | Path) -> list[dict[str, str]]:
@@ -186,18 +188,5 @@ def aggregate(paths: Sequence[str | Path]) -> Summary:
     """
     if not paths:
         raise ValueError("at least one jobs table is required")
-    summary = Summary()
-    turnarounds: list[int] = []
-    for path in paths:
-        for row in read_jobs_csv(path):
-            summary.n_jobs += 1
-            if row["state"] == JobState.COMPLETED.value:
-                summary.n_completed += 1
-            elif row["state"] == JobState.ERRORED.value:
-                summary.n_errored += 1
-            else:
-                summary.n_live += 1
-            if row["turnaround_minutes"] != "":
-                turnarounds.append(int(row["turnaround_minutes"]))
-    summary.mean_turnaround, summary.p95_turnaround = _turnaround_stats(turnarounds)
-    return summary
+    return _pool_jobs((row["state"], row["turnaround_minutes"])
+                      for path in paths for row in read_jobs_csv(path))

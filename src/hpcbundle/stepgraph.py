@@ -10,9 +10,7 @@ job.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .packing import Placement
@@ -26,32 +24,24 @@ class StepGraph:
 
     Edges point from prerequisite to dependent.  Guaranteed acyclic:
     every edge strictly increases the dependent's bottom edge.  The
-    sorted predecessor and successor lists are built once, on first use.
+    sorted predecessor lists are built once, at construction.
     """
 
     nodes: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
+    _preds: dict[str, list[str]] = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def _preds(self) -> dict[str, list[str]]:
+    def __post_init__(self) -> None:
         preds: dict[str, list[str]] = {}
         for pre, post in sorted(self.edges):
             preds.setdefault(post, []).append(pre)
-        return preds
-
-    @cached_property
-    def _succs(self) -> dict[str, list[str]]:
-        succs: dict[str, list[str]] = {}
-        for post, pres in sorted(self._preds.items()):
-            for pre in pres:
-                succs.setdefault(pre, []).append(post)
-        return succs
+        object.__setattr__(self, "_preds", preds)
 
     def predecessors(self, node: str) -> list[str]:
         return list(self._preds.get(node, ()))
 
     def successors(self, node: str) -> list[str]:
-        return list(self._succs.get(node, ()))
+        return sorted(post for pre, post in self.edges if pre == node)
 
     def roots(self) -> list[str]:
         return sorted(n for n in self.nodes if n not in self._preds)
@@ -95,15 +85,12 @@ def transitive_reduction(nodes: Iterable[str], relation: Relation) -> StepGraph:
     for pre, post in relation:
         succ[index[pre]].append(index[post])
         indegree[index[post]] += 1
-    ready = [i for i, d in enumerate(indegree) if d == 0]
-    order: list[int] = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
+    order = [i for i, d in enumerate(indegree) if d == 0]
+    for i in order:  # grows as it is read; any topological order gives the same reduction
         for m in succ[i]:
             indegree[m] -= 1
             if not indegree[m]:
-                heapq.heappush(ready, m)
+                order.append(m)
     if len(order) != len(node_list):
         raise ValueError("relation has a cycle")
 

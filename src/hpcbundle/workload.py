@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .bundling import BundlePolicy, ExecutionSite
-from .dispatcher import JobSpec
+from .dispatcher import JOB_ID_PATTERN, JOB_ID_RULE, JobSpec
 from .simcluster import (
     GLOBAL_STALL,
     NODE_FAULT,
@@ -297,10 +297,12 @@ def parse_workload_text(text: str) -> list[JobSpec]:
         if len(row) != 7:
             _fail(lineno, "wrong number of fields")
         job_id, test_id, model_id, cores, requested, true_runtime, arrival = row
-        # Accounting lines are split on whitespace, one field per job id;
-        # the split is also empty for an empty id.
-        if job_id.split() != [job_id]:
-            _fail(lineno, f"job_id {job_id!r} must be non-empty with no whitespace")
+        # ASCII letters and digits alone always pass; only other ids pay for the match.
+        if not (job_id.isalnum() and job_id.isascii()) and JOB_ID_PATTERN.fullmatch(job_id) is None:
+            # The whitespace message also covers the empty id, whose split is empty.
+            if job_id.split() != [job_id]:
+                _fail(lineno, f"job_id {job_id!r} must be non-empty with no whitespace")
+            _fail(lineno, f"job_id {job_id!r} {JOB_ID_RULE}")
         if job_id in seen:
             _fail(lineno, f"duplicate job_id {job_id!r}")
         seen.add(job_id)

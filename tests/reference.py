@@ -21,7 +21,8 @@ with bitsets and has no recursion depth limit.
 The workload-CSV oracle parses through ``csv.DictReader`` and converts
 one column at a time; the production parser makes one pass over
 ``csv.reader`` rows.  Both must return the same jobs or raise the same
-message.
+message.  The oracle checks the job-id rule by character sets; the
+parser by one regular expression.
 
 The queue model keeps each site queue as a plain list and cuts a
 bundle's members out as soon as the bundle is formed; a rejected
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import io
+import string
 
 import numpy as np
 
@@ -41,6 +43,9 @@ from hpcbundle.dispatcher import JobSpec
 from hpcbundle.packing import FreeRect, Placement, ResourceRect
 from hpcbundle.stepgraph import Relation, StepGraph
 from hpcbundle.workload import WORKLOAD_COLUMNS, ParseError
+
+_ID_FIRST = set(string.ascii_letters + string.digits + "_")
+_ID_CHARS = _ID_FIRST | set(".-")
 
 
 class OracleBin:
@@ -240,6 +245,9 @@ def parse_workload_text(text: str) -> list[JobSpec]:
         job_id = row["job_id"]
         if job_id.split() != [job_id]:
             fail(lineno, f"job_id {job_id!r} must be non-empty with no whitespace")
+        if job_id[0] not in _ID_FIRST or not set(job_id) <= _ID_CHARS:
+            fail(lineno, f"job_id {job_id!r} may use only letters, digits, '.', '_' and '-', "
+                         "and may not start with '.' or '-'")
         if job_id in seen:
             fail(lineno, f"duplicate job_id {job_id!r}")
         seen.add(job_id)

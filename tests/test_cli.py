@@ -212,6 +212,26 @@ class TestErrors:
         assert rc == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_job_id_outside_out_dir_exits_2(self, inputs, tmp_path, capsys):
+        """Job ids name step directories: a path-like id writes nothing outside --out."""
+        sites, _ = inputs
+        escaped = tmp_path / "trav" / "ESCAPED"
+        run = tmp_path / "out" / "run"
+        before = sorted(tmp_path.rglob("*"))
+        for line, job_id in ((2, str(escaped)), (3, "../../UP")):
+            workload = tmp_path / f"bad{line}.csv"
+            rows = WORKLOAD.splitlines()
+            rows[line - 1] = job_id + rows[line - 1][1:]  # the demo ids are one letter
+            workload.write_text("\n".join(rows) + "\n")
+            before.append(workload)
+            rc = main(["simulate", "--sites", str(sites), "--workload", str(workload),
+                       "--policy", "min_jobs=1", "--out", str(run)])
+            assert rc == 2
+            assert f"line {line}: job_id {job_id!r}" in capsys.readouterr().err
+        outside = [p for p in tmp_path.rglob("*") if p not in (run, run.parent)
+                   and run not in p.parents]
+        assert sorted(outside) == sorted(before)
+
     def test_bad_policy_exits_2(self, inputs, capsys):
         sites, workload = inputs
         rc = main(["pack", "--sites", str(sites), "--workload", str(workload),

@@ -143,6 +143,13 @@ class TestIngest:
         with pytest.raises(ValueError):
             dispatcher.ingest(spec("zero", cores=0), now=2)
 
+    @pytest.mark.parametrize("job_id", ["", "/tmp/x", "../x", "a/b", "a:b", ".", "-j", "j 1"])
+    def test_job_id_that_is_not_a_plain_name_rejected(self, job_id):
+        dispatcher, backend, _ = build()
+        with pytest.raises(ValueError, match="may use only letters"):
+            dispatcher.ingest(spec(job_id), now=0)
+        assert not dispatcher.jobs and not backend.submissions
+
     def test_insufficient_queue_stays_bound(self):
         dispatcher, backend, _ = build(policy=BundlePolicy(min_jobs=2, min_fill=1.0))
         job = dispatcher.ingest(spec(), now=0)

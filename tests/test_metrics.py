@@ -1,5 +1,6 @@
 """Metrics tables, summaries, and cross-run aggregation."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -26,6 +27,8 @@ from hpcbundle.metrics import (
     write_metrics_csv,
 )
 from hpcbundle.simcluster import SimConfig, Simulation
+from hpcbundle.workload import parse_policy, parse_sites_text, parse_workload_text
+from test_golden import GOLDEN
 
 
 def run_sim(n_jobs=4, seed=0):
@@ -132,14 +135,20 @@ class TestAggregate:
         return report, path
 
     def test_single_table_matches_summary_job_fields(self, tmp_path):
-        report, path = self.write_run(tmp_path, "run.csv", 0)
-        pooled = aggregate([path])
+        """On the golden faults case, with completed and errored jobs."""
+        make_inputs, seed, policy, _ = GOLDEN["faults"]
+        sites_text, workload_text = make_inputs()
+        contents = parse_sites_text(sites_text)
+        report = Simulation(contents.sites, parse_workload_text(workload_text),
+                            parse_policy(policy), contents.build_config(seed)).run()
+        path = tmp_path / "jobs.csv"
+        write_jobs_csv(path, report.dispatcher)
         direct = summarize(report.dispatcher)
-        assert pooled.n_jobs == direct.n_jobs
-        assert pooled.n_completed == direct.n_completed
-        assert pooled.mean_turnaround == direct.mean_turnaround
-        assert pooled.p95_turnaround == direct.p95_turnaround
-        assert pooled.n_bundles == 0  # jobs tables carry no bundle data
+        assert direct.n_completed and direct.n_errored
+        # The jobs table carries no bundle-level field, so those stay at their defaults.
+        assert aggregate([path]) == dataclasses.replace(
+            direct, n_bundles=0, timeout_count=0, rebind_count=0, bundles_per_site={},
+            core_minutes_requested=0, core_minutes_consumed=0)
 
     def test_pooling_two_identical_runs_doubles_counts(self, tmp_path):
         _, first = self.write_run(tmp_path, "a.csv", 3)

@@ -5,8 +5,9 @@ windows and queue waits, a bundling policy and a simulation config, runs
 the simulation to the end and checks invariants that must hold for any
 such input: terminal states, one result envelope per job, an event log
 that never acts on a finished bundle or starts a step before its
-predecessors end, placements inside each bundle's request, and a replay
-that reproduces the log byte for byte.  Two metamorphic properties
+predecessors end, placements inside each bundle's request, that request
+the bounding box of the placements with their waste, and a replay that
+reproduces the log byte for byte.  Two metamorphic properties
 follow: a site that fits no job changes no output byte, and renaming the
 job ids in an order-preserving way only renames them in the outputs.
 Last, a whole `simulate` run writes the same bytes under any
@@ -25,6 +26,7 @@ import hpcbundle
 from hpcbundle.bundling import BundlePolicy, ExecutionSite
 from hpcbundle.dispatcher import TERMINAL_STATES, JobSpec, JobState
 from hpcbundle.metrics import jobs_csv_text, metrics_csv_text
+from hpcbundle.packing import bounding_request, waste_fraction
 from hpcbundle.simcluster import (
     EV_BUNDLE_END,
     EV_BUNDLE_START,
@@ -142,6 +144,8 @@ def check_placements(report) -> None:
             assert 0 <= p.bottom and p.top <= bundle.request_minutes
         for i, a in enumerate(placements):
             assert not any(a.overlaps(b) for b in placements[i + 1:])
+        assert (bundle.request_cores, bundle.request_minutes) == bounding_request(placements)
+        assert bundle.waste_fraction() == waste_fraction(placements)
 
 
 @settings(max_examples=150, deadline=None)

@@ -250,6 +250,8 @@ class TestWorkloadParsing:
             ("J9,t,m,4,120,95,0,extra", 3, "wrong number of fields"),
             ("J 9,t,m,4,120,95,0", 3, "no whitespace"),
             (",t,m,4,120,95,0", 3, "non-empty"),
+            ("../x,t,m,4,120,95,0", 3, "may use only letters, digits, '.', '_' and '-'"),
+            ("-x,t,m,4,120,95,0", 3, "may not start with '.' or '-'"),
         ],
     )
     def test_row_errors(self, row, lineno, fragment):
@@ -316,7 +318,8 @@ def workload_texts(draw):
         elif fault == "no_int":
             row[draw(st.integers(3, 6))] = draw(st.sampled_from(["", " "]))
         elif fault == "bad_id":
-            row[0] = draw(st.sampled_from(["", " ", "J 1", "\tJ1", "J1 "]))
+            row[0] = draw(st.sampled_from(
+                ["", " ", "J 1", "\tJ1", "J1 ", "/tmp/x", "../x", "a:b", "."]))
         elif fault == "dup" and ids:
             row[0] = draw(st.sampled_from(ids))
         elif fault == "zero":
