@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Protocol
 
-from .packing import PackingBin, Placement, ResourceRect, bounding_request
+from .packing import PackingBin, Placement, ResourceRect, bounding_request, waste_fraction
 
 
 class JobLike(Protocol):
@@ -113,8 +113,8 @@ class Bundle:
         return self.request_cores * self.request_minutes
 
     def waste_fraction(self) -> float:
-        """Fraction of the request no member covers (``packing.waste_fraction``)."""
-        return 1.0 - sum(p.rect.area for _, p in self.members) / self.requested_core_minutes
+        return waste_fraction([p for _, p in self.members],
+                              (self.request_cores, self.request_minutes))
 
 
 class SiteRegistry:

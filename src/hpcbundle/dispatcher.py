@@ -16,7 +16,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Protocol
+from typing import Callable, Iterable, NamedTuple, Protocol
 
 from .bundling import Bundle, BundlePolicy, ExecutionSite, SiteRegistry
 from .stepgraph import StepGraph, step_graph, emit_make
@@ -41,11 +41,22 @@ EVENT_FINISHED = "FINISHED"
 # Attempts after which a job that keeps failing ends as a flaky error.
 RETRY_CAP = 10
 
-# A job id names a step directory, a make target and a word of its recipe,
-# so it may not hold a path separator, a make or shell metacharacter, or
-# begin with '.' or '-'.
-JOB_ID_PATTERN = re.compile(r"[A-Za-z0-9_][A-Za-z0-9._-]*")
-JOB_ID_RULE = "may use only letters, digits, '.', '_' and '-', and may not start with '.' or '-'"
+# A job id names a step directory, a make target and a word of its recipe, so it may
+# not hold a path separator or a make or shell metacharacter, begin with '.' or '-',
+# or be a name the bundle uses itself: the ``all`` target or a file beside the steps.
+RESERVED_JOB_IDS = ("all", MAKEFILE_FILENAME, ACCOUNTING_FILENAME)
+JOB_ID_PATTERN = re.compile(
+    r"(?!(?:%s)\Z)[A-Za-z0-9_][A-Za-z0-9._-]*" % "|".join(map(re.escape, RESERVED_JOB_IDS)))
+JOB_ID_RULE = ("may use only letters, digits, '.', '_' and '-', may not start with '.' or '-', "
+               "and may not be 'all', 'Makefile' or 'accounting.txt'")
+
+
+def check_job_ids(job_ids: Iterable[str]) -> None:
+    """Raise ``ValueError`` on the first id that does not follow ``JOB_ID_PATTERN``."""
+    match_id = JOB_ID_PATTERN.fullmatch
+    for job_id in job_ids:
+        if match_id(job_id) is None:
+            raise ValueError(f"job_id {job_id!r} {JOB_ID_RULE}")
 
 
 class JobState(enum.Enum):
@@ -298,8 +309,7 @@ class Dispatcher:
         """Register a new job, bind it, and try to form a bundle at its site."""
         if spec.cores < 1 or spec.requested_minutes < 1:
             raise ValueError(f"job {spec.job_id!r}: cores and minutes must be positive")
-        if JOB_ID_PATTERN.fullmatch(spec.job_id) is None:
-            raise ValueError(f"job_id {spec.job_id!r} {JOB_ID_RULE}")
+        check_job_ids([spec.job_id])
         if spec.job_id in self.jobs:
             raise ValueError(f"duplicate job_id {spec.job_id!r}")
         job = JobRecord(

@@ -104,14 +104,15 @@ def bounding_request(placements: Sequence[Placement]) -> tuple[int, int]:
     return (max(p.right for p in placements), max(p.top for p in placements))
 
 
-def waste_fraction(placements: Sequence[Placement]) -> float:
+def waste_fraction(placements: Sequence[Placement], request: tuple[int, int] | None = None) -> float:
     """Fraction of the bounding request not covered by any placement.
 
     Interior gaps count as waste: the scheduler request is the single
     origin-anchored bounding rectangle, so every uncovered cell of it is
-    paid for but unused.
+    paid for but unused.  A caller that already holds the placements'
+    ``bounding_request`` passes it as ``request``.
     """
-    cores, minutes = bounding_request(placements)
+    cores, minutes = request or bounding_request(placements)
     used = sum(p.rect.area for p in placements)
     return 1.0 - used / (cores * minutes)
 

@@ -42,6 +42,7 @@ from .dispatcher import (
     Dispatcher,
     JobSpec,
     MAKEFILE_FILENAME,
+    check_job_ids,
     make_text,
 )
 from .stepgraph import StepGraph
@@ -470,10 +471,9 @@ class Simulation:
         self._chunks: list[str] = []
         self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
-        self._true: dict[str, int] = {}
+        self._true = {spec.job_id: max(1, spec.true_runtime_minutes) for spec in self.workload}
+        check_job_ids(self._true)  # before any bundle directory is written
         seen_sites = {s.site_id for s in sites}
-        for spec in self.workload:
-            self._true[spec.job_id] = max(1, spec.true_runtime_minutes)
         for fault in config.faults:
             known = seen_sites if fault.kind == GLOBAL_STALL else self._true.keys()
             if fault.target not in known:

@@ -290,6 +290,7 @@ def parse_workload_text(text: str) -> list[JobSpec]:
         )
     jobs: list[JobSpec] = []
     seen: set[str] = set()
+    match_id = JOB_ID_PATTERN.fullmatch  # bound once, outside the row loop
     for row in reader:
         if not row:
             continue  # a blank line
@@ -297,8 +298,7 @@ def parse_workload_text(text: str) -> list[JobSpec]:
         if len(row) != 7:
             _fail(lineno, "wrong number of fields")
         job_id, test_id, model_id, cores, requested, true_runtime, arrival = row
-        # ASCII letters and digits alone always pass; only other ids pay for the match.
-        if not (job_id.isalnum() and job_id.isascii()) and JOB_ID_PATTERN.fullmatch(job_id) is None:
+        if match_id(job_id) is None:
             # The whitespace message also covers the empty id, whose split is empty.
             if job_id.split() != [job_id]:
                 _fail(lineno, f"job_id {job_id!r} must be non-empty with no whitespace")

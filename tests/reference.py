@@ -245,9 +245,11 @@ def parse_workload_text(text: str) -> list[JobSpec]:
         job_id = row["job_id"]
         if job_id.split() != [job_id]:
             fail(lineno, f"job_id {job_id!r} must be non-empty with no whitespace")
-        if job_id[0] not in _ID_FIRST or not set(job_id) <= _ID_CHARS:
+        if (job_id[0] not in _ID_FIRST or not set(job_id) <= _ID_CHARS
+                or job_id in ("all", "Makefile", "accounting.txt")):
             fail(lineno, f"job_id {job_id!r} may use only letters, digits, '.', '_' and '-', "
-                         "and may not start with '.' or '-'")
+                         "may not start with '.' or '-', "
+                         "and may not be 'all', 'Makefile' or 'accounting.txt'")
         if job_id in seen:
             fail(lineno, f"duplicate job_id {job_id!r}")
         seen.add(job_id)

@@ -143,7 +143,8 @@ class TestIngest:
         with pytest.raises(ValueError):
             dispatcher.ingest(spec("zero", cores=0), now=2)
 
-    @pytest.mark.parametrize("job_id", ["", "/tmp/x", "../x", "a/b", "a:b", ".", "-j", "j 1"])
+    @pytest.mark.parametrize("job_id", ["", "/tmp/x", "../x", "a/b", "a:b", ".", "-j", "j 1",
+                                        "all", "Makefile", "accounting.txt"])
     def test_job_id_that_is_not_a_plain_name_rejected(self, job_id):
         dispatcher, backend, _ = build()
         with pytest.raises(ValueError, match="may use only letters"):

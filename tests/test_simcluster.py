@@ -112,6 +112,14 @@ class TestFaultValidation:
         with pytest.raises(ValueError, match="S9"):
             sim([job("a")], faults=(FaultSpec(GLOBAL_STALL, "S9", window=(0, 9)),))
 
+    @pytest.mark.parametrize("bad_id", ["../x", "all", "Makefile", "accounting.txt"])
+    def test_bad_job_id_rejected_before_anything_runs(self, tmp_path, bad_id):
+        # The bad id arrives last, after bundles of the others would have run.
+        jobs = [job("a"), job("b", arrival=100), job(bad_id, arrival=500)]
+        with pytest.raises(ValueError, match="may use only letters"):
+            sim(jobs, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(grace_minutes=-1)

@@ -252,6 +252,9 @@ class TestWorkloadParsing:
             (",t,m,4,120,95,0", 3, "non-empty"),
             ("../x,t,m,4,120,95,0", 3, "may use only letters, digits, '.', '_' and '-'"),
             ("-x,t,m,4,120,95,0", 3, "may not start with '.' or '-'"),
+            ("all,t,m,4,120,95,0", 3, "may not be 'all', 'Makefile' or 'accounting.txt'"),
+            ("Makefile,t,m,4,120,95,0", 3, "job_id 'Makefile' may use only"),
+            ("accounting.txt,t,m,4,120,95,0", 3, "job_id 'accounting.txt' may use only"),
         ],
     )
     def test_row_errors(self, row, lineno, fragment):
@@ -319,7 +322,8 @@ def workload_texts(draw):
             row[draw(st.integers(3, 6))] = draw(st.sampled_from(["", " "]))
         elif fault == "bad_id":
             row[0] = draw(st.sampled_from(
-                ["", " ", "J 1", "\tJ1", "J1 ", "/tmp/x", "../x", "a:b", "."]))
+                ["", " ", "J 1", "\tJ1", "J1 ", "/tmp/x", "../x", "a:b", ".",
+                 "all", "Makefile", "accounting.txt"]))
         elif fault == "dup" and ids:
             row[0] = draw(st.sampled_from(ids))
         elif fault == "zero":
