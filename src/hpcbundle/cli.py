@@ -4,7 +4,8 @@
 placements, the derived execution-order graph, the bounding request and
 an ASCII rendering of the bin.  ``simulate`` replays a workload against
 the simulated cluster and writes metrics.csv, jobs.csv and events.log.
-``report`` pools jobs.csv files from several runs.
+``report`` pools jobs.csv files from several runs and prints their
+job-level summary lines.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--horizon", type=int, default=1_000_000, help="stop after this virtual minute")
 
-    rep = sub.add_parser("report", help="aggregate jobs.csv tables from previous runs")
+    rep = sub.add_parser("report", help="pool the job-level fields of jobs.csv tables")
     rep.add_argument("tables", nargs="+", help="jobs.csv files")
     return parser
 
@@ -138,7 +139,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    print(aggregate(args.tables).render())
+    print("\n".join(aggregate(args.tables).job_lines()))
     return 0
 
 

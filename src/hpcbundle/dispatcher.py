@@ -16,7 +16,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Protocol
+from typing import Callable, Container, Iterable, NamedTuple, Protocol
 
 from .bundling import Bundle, BundlePolicy, ExecutionSite, SiteRegistry
 from .stepgraph import StepGraph, step_graph, emit_make
@@ -49,14 +49,6 @@ JOB_ID_PATTERN = re.compile(
     r"(?!(?:%s)\Z)[A-Za-z0-9_][A-Za-z0-9._-]*" % "|".join(map(re.escape, RESERVED_JOB_IDS)))
 JOB_ID_RULE = ("may use only letters, digits, '.', '_' and '-', may not start with '.' or '-', "
                "and may not be 'all', 'Makefile' or 'accounting.txt'")
-
-
-def check_job_ids(job_ids: Iterable[str]) -> None:
-    """Raise ``ValueError`` on the first id that does not follow ``JOB_ID_PATTERN``."""
-    match_id = JOB_ID_PATTERN.fullmatch
-    for job_id in job_ids:
-        if match_id(job_id) is None:
-            raise ValueError(f"job_id {job_id!r} {JOB_ID_RULE}")
 
 
 class JobState(enum.Enum):
@@ -98,6 +90,21 @@ class JobSpec(NamedTuple):
     requested_minutes: int
     true_runtime_minutes: int = 0
     arrival_minute: int = 0
+
+
+def check_job_specs(specs: Iterable[JobSpec], known: Container[str] = ()) -> None:
+    """Raise ``ValueError`` on the first spec ``Dispatcher.ingest`` refuses: cores or minutes
+    below 1, an id outside ``JOB_ID_PATTERN``, or an id in ``known`` or on an earlier spec."""
+    match_id = JOB_ID_PATTERN.fullmatch
+    seen: set[str] = set()
+    for job_id, _, _, cores, minutes, _, _ in specs:
+        if cores < 1 or minutes < 1:
+            raise ValueError(f"job {job_id!r}: cores and minutes must be positive")
+        if match_id(job_id) is None:
+            raise ValueError(f"job_id {job_id!r} {JOB_ID_RULE}")
+        if job_id in seen or job_id in known:
+            raise ValueError(f"duplicate job_id {job_id!r}")
+        seen.add(job_id)
 
 
 @dataclass(slots=True)
@@ -307,11 +314,7 @@ class Dispatcher:
 
     def ingest(self, spec: JobSpec, now: int) -> JobRecord:
         """Register a new job, bind it, and try to form a bundle at its site."""
-        if spec.cores < 1 or spec.requested_minutes < 1:
-            raise ValueError(f"job {spec.job_id!r}: cores and minutes must be positive")
-        check_job_ids([spec.job_id])
-        if spec.job_id in self.jobs:
-            raise ValueError(f"duplicate job_id {spec.job_id!r}")
+        check_job_specs((spec,), self.jobs)
         job = JobRecord(
             job_id=spec.job_id,
             test_id=spec.test_id,
@@ -411,13 +414,17 @@ class Dispatcher:
         accounting CANCELLED retries unchanged; a missing sentinel without
         a timeout means a hardware fault, also retried unchanged; FAILED
         with the sentinel present is a genuine job error; COMPLETED with
-        the sentinel packages a result.  An unparsable accounting file is
-        treated as a hardware fault for every unfinished member.
+        the sentinel packages a result.  An unparsable accounting file, or
+        one that names another bundle, is treated as a hardware fault for
+        every unfinished member.
         """
         bundle = self.in_flight.pop(handle)
 
         try:
-            rows = AccountingRecord.from_text(artifacts.accounting_text).rows
+            record = AccountingRecord.from_text(artifacts.accounting_text)
+            if record.bundle_id != bundle.bundle_id:
+                raise ValueError(f"accounting names bundle {record.bundle_id!r}")
+            rows = record.rows
         except ValueError as exc:
             self._record(now, "BAD_ACCOUNTING", f"{bundle.bundle_id}: {exc}")
             rows = {}

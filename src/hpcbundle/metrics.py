@@ -99,19 +99,23 @@ class Summary:
     core_minutes_requested: int = 0
     core_minutes_consumed: int = 0
 
-    def render(self) -> str:
-        lines = [
+    def job_lines(self) -> list[str]:
+        """The job-level lines of ``render``, all that jobs.csv tables carry."""
+        return [
             f"jobs            {self.n_jobs}",
             f"  completed     {self.n_completed}",
             f"  errored       {self.n_errored}",
             f"  live          {self.n_live}",
-            f"bundles         {self.n_bundles}",
-        ]
-        for site_id in sorted(self.bundles_per_site):
-            lines.append(f"  {site_id:<13} {self.bundles_per_site[site_id]}")
-        lines += [
             f"turnaround mean {self.mean_turnaround:.1f} min",
             f"turnaround p95  {self.p95_turnaround:.1f} min",
+        ]
+
+    def render(self) -> str:
+        jobs = self.job_lines()
+        lines = jobs[:4] + [f"bundles         {self.n_bundles}"]
+        for site_id in sorted(self.bundles_per_site):
+            lines.append(f"  {site_id:<13} {self.bundles_per_site[site_id]}")
+        lines += jobs[4:] + [
             f"timeouts        {self.timeout_count}",
             f"rebinds         {self.rebind_count}",
             f"core-min asked  {self.core_minutes_requested}",

@@ -7,6 +7,10 @@ rules with a grace period, fault injection, and accounting-file plus
 sentinel-file artifact generation.  Identical (seed, config, workload)
 inputs replay to byte-identical event logs.
 
+A step's state word is fixed when its bundle starts (TIMEOUT past the kill
+rule, else COMPLETED, which a NODE_FAULT fails as the step ends); one writer,
+``SimCluster._end_step``, records every accounting row and ``STEP_END`` line.
+
 Every heap entry carries its own handler: ``Simulation.push(time,
 handler, *args)`` schedules the call ``handler(*args, time)`` at virtual
 minute ``time``.  Entries due at the same minute run in push order.
@@ -42,7 +46,7 @@ from .dispatcher import (
     Dispatcher,
     JobSpec,
     MAKEFILE_FILENAME,
-    check_job_ids,
+    check_job_specs,
     make_text,
 )
 from .stepgraph import StepGraph
@@ -59,8 +63,8 @@ EV_STEP_START = "STEP_START"
 EV_STEP_END = "STEP_END"
 EV_BUNDLE_END = "BUNDLE_END"
 
-TIMEOUT_EXIT_CODE = 124
-CANCEL_EXIT_CODE = 143
+# Exit code of a step's accounting row, by its state word.
+EXIT_CODES = {ACCT_COMPLETED: 0, ACCT_FAILED: 1, ACCT_TIMEOUT: 124, ACCT_CANCELLED: 143}
 
 # Event-log lines per joined text chunk while a run records.
 LOG_CHUNK_LINES = 4096
@@ -86,7 +90,7 @@ class QueueWait:
         if self.low < 0 or (self.kind == "uniform" and self.high < self.low):
             raise ValueError("queue-wait bounds must satisfy 0 <= low <= high")
 
-    def sample(self, rng: random.Random) -> int:
+    def sample(self, rng: random.Random | None) -> int:
         if self.kind == "fixed":
             return self.low
         return rng.randint(self.low, self.high)
@@ -138,19 +142,6 @@ class SimConfig:
         if self.tick_minutes < 1 or self.horizon_minutes < 1:
             raise ValueError("tick and horizon must be positive")
 
-    def wait_for(self, site_id: str) -> QueueWait:
-        return self.queue_waits.get(site_id, _NO_WAIT)
-
-
-@dataclass(frozen=True, slots=True)
-class StepSchedule:
-    """Computed execution window for one step inside a bundle."""
-
-    start: int  # absolute virtual minute
-    end: int
-    duration: int  # nominal compute minutes, stall gaps excluded
-    timed_out: bool
-
 
 def schedule_steps(graph: StepGraph, durations: dict[str, int]) -> dict[str, tuple[int, int]]:
     """Start and end minute for every step, in nominal (progress) time.
@@ -184,10 +175,12 @@ def schedule_steps(graph: StepGraph, durations: dict[str, int]) -> dict[str, tup
 class _BundleRun:
     """Mutable per-submission state inside the simulator.
 
-    ``rows`` holds each concluded step's accounting row, its one outcome
-    record.  Finalization renders the artifacts from the rows and releases
-    the working state: ``schedule``, ``rows`` and ``graph`` become
-    ``None``.  The artifacts go to the dispatcher once, with
+    ``schedule`` maps each started step to ``(start, end, word, minutes)``:
+    its absolute window, its state word and its compute minutes.  ``rows``
+    holds each concluded step's accounting row, its one outcome record.
+    Finalization renders the artifacts from the rows and releases the
+    working state: ``schedule``, ``rows`` and ``graph`` become ``None``.
+    The artifacts go to the dispatcher once, with
     the delivered FINISHED notification or from ``SimCluster.cancel``, and
     then become ``None`` here too.  A finished run keeps ``handle``,
     ``bundle``, ``site_id``, ``wait``, ``started_at`` and ``finalized_at``.
@@ -204,7 +197,7 @@ class _BundleRun:
         self.wait = wait
         self.started_at: int | None = None
         self.finalized_at: int | None = None
-        self.schedule: dict[str, StepSchedule] | None = {}
+        self.schedule: dict[str, tuple[int, int, str, int]] | None = {}
         self.rows: dict[str, tuple[str, int, int]] | None = {}
         self.artifacts: BundleArtifacts | None = None
 
@@ -216,18 +209,20 @@ class _BundleRun:
 class SimCluster:
     """Backend implementation: submissions become scheduled virtual events."""
 
-    def __init__(self, sim: "Simulation", config: SimConfig):
+    def __init__(self, sim: "Simulation", config: SimConfig, runtimes: dict[str, int]):
         self.sim = sim
         self.config = config
         self.runs: dict[str, _BundleRun] = {}
         self._handle_seq = 0
-        self._wait_rngs: dict[str, random.Random] = {}
-        self._overrun: dict[str, int] = {}
+        # One queue-wait model and its own random stream per configured site.
+        self._waits = {site_id: (wait, derive_rng(config.seed, f"wait:{site_id}"))
+                       for site_id, wait in config.queue_waits.items()}
+        self._true = true = dict(runtimes)  # every job's true minutes, overruns applied
         self._sentinel_suppression: dict[str, int] = {}
         self.stall_windows: dict[str, list[tuple[int, int]]] = {}
         for fault in config.faults:
             if fault.kind == STEP_OVERRUN:
-                self._overrun[fault.target] = fault.multiplier
+                true[fault.target] = runtimes[fault.target] * fault.multiplier
             elif fault.kind == NODE_FAULT:
                 self._sentinel_suppression[fault.target] = fault.times
             else:
@@ -254,22 +249,18 @@ class SimCluster:
         windows = self.stall_windows.get(site_id)
         if not windows:
             return now + delta
-        cur = now
-        remaining = delta
         # Windows ending at or before ``now`` are behind it; every later
-        # window ends after the minute the walk has reached.
+        # window ends after the minute the walk (``now`` from here on) has reached.
         for start, end in windows[bisect_right(self._stall_ends[site_id], now):]:
-            if cur < start:
-                step = min(remaining, start - cur)
-                cur += step
-                remaining -= step
-                if remaining == 0:
-                    return cur
-            cur = end
-        return cur + remaining
+            if now < start:
+                if delta <= start - now:
+                    return now + delta
+                delta -= start - now
+            now = end
+        return now + delta
 
     def progress(self, site_id: str, start: int, now: int) -> int:
-        """Compute minutes actually elapsed on a site between two instants."""
+        """Compute minutes elapsed on a site from ``start`` to ``now``; 0 unless ``start < now``."""
         total = now - start
         windows = self.stall_windows.get(site_id)
         if windows:
@@ -289,11 +280,6 @@ class SimCluster:
         i = bisect_right(self._stall_ends[site_id], at)  # first window ending after ``at``
         return i < len(windows) and windows[i][0] <= at
 
-    def _wait_rng(self, site_id: str) -> random.Random:
-        if site_id not in self._wait_rngs:
-            self._wait_rngs[site_id] = derive_rng(self.config.seed, f"wait:{site_id}")
-        return self._wait_rngs[site_id]
-
     # -- backend contract ------------------------------------------------
 
     def submit(self, bundle: Bundle, graph: StepGraph) -> str:
@@ -307,7 +293,8 @@ class SimCluster:
             )
         self._handle_seq += 1
         handle = f"sim-{self._handle_seq:05d}"
-        wait = self.config.wait_for(site.site_id).sample(self._wait_rng(site.site_id))
+        model, rng = self._waits.get(site.site_id, (_NO_WAIT, None))
+        wait = model.sample(rng)
         run = _BundleRun(handle, bundle, graph, wait)
         self.runs[handle] = run
         self.sim.push(now, self.sim.on_notify, handle, EVENT_ACCEPTED)
@@ -335,25 +322,19 @@ class SimCluster:
                         f"{run.bundle.bundle_id} on {run.site_id} after {run.wait}m queue wait")
         self.sim.push(now, self.sim.on_notify, handle, EVENT_RUNNING)
         grace = self.config.grace_minutes
-        durations: dict[str, int] = {}
-        timed_out: dict[str, bool] = {}
-        for job_id, placement in run.bundle.members:
-            allotment = placement.rect.minutes
-            true = self.sim.true_runtime(job_id) * self._overrun.get(job_id, 1)
-            timed_out[job_id] = true > allotment + grace
-            durations[job_id] = min(true, allotment + grace)
-        nominal = schedule_steps(run.graph, durations)
+        true = self._true
+        # The kill rule cuts a step at its allotment plus the grace period.
+        durations = {job_id: min(true[job_id], placement.rect.minutes + grace)
+                     for job_id, placement in run.bundle.members}
         site = run.site_id
-        for job_id, (rel_start, rel_end) in nominal.items():
-            sched = StepSchedule(
-                start=self.advance(site, now, rel_start),
-                end=self.advance(site, now, rel_end),
-                duration=durations[job_id],
-                timed_out=timed_out[job_id],
-            )
-            run.schedule[job_id] = sched
-            self.sim.push(sched.start, self.on_step_start, handle, job_id)
-            self.sim.push(sched.end, self.on_step_end, handle, job_id)
+        for job_id, (rel_start, rel_end) in schedule_steps(run.graph, durations).items():
+            minutes = rel_end - rel_start  # the true runtime unless the kill rule cut it
+            word = ACCT_TIMEOUT if true[job_id] > minutes else ACCT_COMPLETED
+            start = self.advance(site, now, rel_start)
+            end = self.advance(site, now, rel_end)
+            run.schedule[job_id] = (start, end, word, minutes)
+            self.sim.push(start, self.on_step_start, handle, job_id)
+            self.sim.push(end, self.on_step_end, handle, job_id)
         kill_at = self.advance(site, now, run.bundle.request_minutes + grace)
         self.sim.push(kill_at, self.on_bundle_end, handle)
 
@@ -379,33 +360,30 @@ class SimCluster:
 
     def _conclude_step(self, run: _BundleRun, job_id: str, now: int) -> None:
         # Only a COMPLETED step writes its sentinel (see ``_finalize``).
-        sched = run.schedule[job_id]
-        if sched.timed_out:
-            word, code = ACCT_TIMEOUT, TIMEOUT_EXIT_CODE
-        elif self._sentinel_suppression.get(job_id, 0) > 0:
+        _, _, word, minutes = run.schedule[job_id]
+        if word == ACCT_COMPLETED and self._sentinel_suppression.get(job_id, 0) > 0:
             self._sentinel_suppression[job_id] -= 1
-            word, code = ACCT_FAILED, 1
-        else:
-            word, code = ACCT_COMPLETED, 0
-        run.rows[job_id] = (word, sched.duration, code)
+            word = ACCT_FAILED
+        self._end_step(run, job_id, now, word, minutes)
+
+    def _end_step(self, run: _BundleRun, job_id: str, now: int, word: str, elapsed: int) -> None:
+        """Write a step's accounting row and its ``STEP_END`` line."""
+        run.rows[job_id] = (word, elapsed, EXIT_CODES[word])
         self.sim.record(now, EV_STEP_END,
-                        f"{run.bundle.bundle_id}/{job_id} {word} elapsed {sched.duration}")
+                        f"{run.bundle.bundle_id}/{job_id} {word} elapsed {elapsed}")
 
     def _finalize(self, run: _BundleRun, now: int, killed: bool, notify: bool) -> None:
         for job_id, _ in run.bundle.members:
             if job_id in run.rows:
                 continue
-            sched = run.schedule.get(job_id)
-            if sched is not None and sched.end == now:
+            start, end, _, _ = run.schedule.get(job_id, (now, None, "", 0))
+            if end == now:
                 # The step concludes at the very instant the bundle dies;
                 # its own verdict stands.
                 self._conclude_step(run, job_id, now)
-                continue
-            elapsed = (0 if sched is None or sched.start >= now
-                       else self.progress(run.site_id, sched.start, now))
-            run.rows[job_id] = (ACCT_CANCELLED, elapsed, CANCEL_EXIT_CODE)
-            self.sim.record(now, EV_STEP_END,
-                            f"{run.bundle.bundle_id}/{job_id} {ACCT_CANCELLED} elapsed {elapsed}")
+            else:  # a step yet to start has run 0 minutes
+                self._end_step(run, job_id, now, ACCT_CANCELLED,
+                               self.progress(run.site_id, start, now))
         run.finalized_at = now
         rows = {job_id: run.rows[job_id] for job_id, _ in run.bundle.members}
         run.artifacts = BundleArtifacts(
@@ -471,16 +449,16 @@ class Simulation:
         self._chunks: list[str] = []
         self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
-        self._true = {spec.job_id: max(1, spec.true_runtime_minutes) for spec in self.workload}
-        check_job_ids(self._true)  # before any bundle directory is written
+        check_job_specs(self.workload)  # before any bundle directory is written
+        runtimes = {spec.job_id: max(1, spec.true_runtime_minutes) for spec in self.workload}
         seen_sites = {s.site_id for s in sites}
         for fault in config.faults:
-            known = seen_sites if fault.kind == GLOBAL_STALL else self._true.keys()
+            known = seen_sites if fault.kind == GLOBAL_STALL else runtimes
             if fault.target not in known:
                 raise ValueError(f"fault target {fault.target!r} does not exist")
         self.registry = SiteRegistry(sites, policy, derive_rng(config.seed, "bind"))
         self.sink = CollectingSink()
-        self.backend = SimCluster(self, config)
+        self.backend = SimCluster(self, config, runtimes)
         self.dispatcher = Dispatcher(self.registry, self.backend, self.sink,
                                      recorder=self.record)
 
@@ -497,9 +475,6 @@ class Simulation:
         if len(pending) == LOG_CHUNK_LINES:
             self._chunks.append("".join(pending))
             pending.clear()
-
-    def true_runtime(self, job_id: str) -> int:
-        return self._true[job_id]
 
     # -- artifact materialization ---------------------------------------
 

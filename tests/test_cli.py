@@ -169,18 +169,27 @@ class TestSimulate:
         assert "warning: horizon 300 reached" in capsys.readouterr().err
 
 
+# Summary lines that jobs.csv cannot back, and so `report` never prints.
+BUNDLE_LEVEL = ("bundles", "timeouts", "rebinds", "core-min")
+
+
 class TestReport:
     def test_single_run_identity(self, inputs, tmp_path, capsys):
         sites, workload = inputs
         out_dir = tmp_path / "run1"
         main(["simulate", "--sites", str(sites), "--workload", str(workload),
               "--out", str(out_dir)])
-        capsys.readouterr()
+        summary = capsys.readouterr().out.splitlines()
         rc = main(["report", str(out_dir / "jobs.csv")])
         assert rc == 0
         out = capsys.readouterr().out
         assert "jobs            5" in out
         assert "completed     5" in out
+        # The job-level lines of simulate's summary, and only those.
+        assert not any(line.startswith(BUNDLE_LEVEL) for line in out.splitlines())
+        assert out.splitlines() == [
+            line for line in summary
+            if line.startswith(("jobs", "  completed", "  errored", "  live", "turnaround"))]
 
     def test_two_runs_pool(self, inputs, tmp_path, capsys):
         sites, workload = inputs
@@ -192,7 +201,9 @@ class TestReport:
             paths.append(str(out_dir / "jobs.csv"))
         capsys.readouterr()
         assert main(["report"] + paths) == 0
-        assert "jobs            10" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "jobs            10" in out
+        assert not any(line.startswith(BUNDLE_LEVEL) for line in out.splitlines())
 
 
 class TestErrors:

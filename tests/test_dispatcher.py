@@ -280,6 +280,29 @@ class TestFaultOutcomes:
             )
             assert dispatcher.jobs["b"].requested_minutes == 10
 
+    def test_accounting_naming_another_bundle_is_bad(self):
+        records = []
+        dispatcher, backend, _ = build(policy=BundlePolicy(min_jobs=2, min_fill=1.0),
+                                       records=records)
+        dispatcher.ingest(spec("a", cores=2, minutes=10), now=0)
+        dispatcher.ingest(spec("b", cores=2, minutes=10), now=0)
+        handle, bundle, _ = backend.last
+        arts = BundleArtifacts(
+            accounting_text=accounting_text("other", {"a": ("COMPLETED", 10, 0),
+                                                      "b": ("TIMEOUT", 15, 124)}),
+            sentinels={"a": True, "b": False},
+        )
+        dispatcher.on_event(handle, "FINISHED", now=40, artifacts=arts)
+        assert ("BAD_ACCOUNTING",
+                f"{bundle.bundle_id}: accounting names bundle 'other'") in records
+        # No row is read: the sentinel completes a, and b is a node fault,
+        # retried with its request unchanged rather than doubled.
+        assert dispatcher.jobs["a"].state is JobState.COMPLETED
+        assert dispatcher.jobs["b"].timeout_count == 0
+        assert dispatcher.jobs["b"].requested_minutes == 10
+        assert bundle.outcome_counts == (1, 0, 1, 0, 0)
+        assert bundle.consumed_core_minutes == 0
+
     def test_retry_cap_errors_flaky(self):
         dispatcher, backend, sink = build()
         job = dispatcher.ingest(spec(), now=0)

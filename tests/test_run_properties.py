@@ -6,10 +6,13 @@ the simulation to the end and checks invariants that must hold for any
 such input: terminal states, one result envelope per job, an event log
 that never acts on a finished bundle or starts a step before its
 predecessors end, placements inside each bundle's request, that request
-the bounding box of the placements with their waste, and a replay that
-reproduces the log byte for byte.  Two metamorphic properties
-follow: a site that fits no job changes no output byte, and renaming the
-job ids in an order-preserving way only renames them in the outputs.
+the bounding box of the placements with their waste, each bundle's
+``STEP_END`` words tallying to its outcome counts, and a replay that
+reproduces the log byte for byte.  Three metamorphic properties
+follow: a site that fits no job changes no output byte, a fixed queue
+wait drawn as a one-value uniform wait changes no output byte, and
+renaming the job ids in an order-preserving way only renames them in the
+outputs.
 Last, a whole `simulate` run writes the same bytes under any
 ``PYTHONHASHSEED``.
 """
@@ -24,7 +27,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 import hpcbundle
 from hpcbundle.bundling import BundlePolicy, ExecutionSite
-from hpcbundle.dispatcher import TERMINAL_STATES, JobSpec, JobState
+from hpcbundle.dispatcher import (
+    ACCT_FAILED,
+    OUTCOME_NODE_FAULT,
+    OUTCOMES,
+    TERMINAL_STATES,
+    JobSpec,
+    JobState,
+)
 from hpcbundle.metrics import jobs_csv_text, metrics_csv_text
 from hpcbundle.packing import bounding_request, waste_fraction
 from hpcbundle.simcluster import (
@@ -148,6 +158,23 @@ def check_placements(report) -> None:
         assert bundle.waste_fraction() == waste_fraction(placements)
 
 
+def check_step_ends(report) -> None:
+    """Each bundle's STEP_END words tally to its outcome counts.
+
+    The simulator writes FAILED only for a step whose sentinel a NODE_FAULT
+    suppressed, which the dispatcher reads as NODE_FAULT.
+    """
+    tallies = {b.bundle_id: dict.fromkeys(OUTCOMES, 0) for b in report.dispatcher.bundle_reports}
+    for line in report.log:
+        _, kind, detail = line.split(None, 2)
+        if kind == EV_STEP_END:
+            step, word, _, _ = detail.split()
+            outcome = OUTCOME_NODE_FAULT if word == ACCT_FAILED else word
+            tallies[step.partition("/")[0]][outcome] += 1
+    for bundle in report.dispatcher.bundle_reports:
+        assert tuple(tallies[bundle.bundle_id].values()) == bundle.outcome_counts, bundle.bundle_id
+
+
 @settings(max_examples=150, deadline=None)
 @given(scenarios())
 def test_whole_run_properties(scenario):
@@ -167,6 +194,7 @@ def test_whole_run_properties(scenario):
 
     check_log(report)
     check_placements(report)
+    check_step_ends(report)
     assert build(scenario).run().event_log_text == report.event_log_text
 
 
@@ -190,6 +218,21 @@ def test_a_site_no_job_fits_changes_no_output_byte(scenario, data):
     wider = [*sites[:position], extra, *sites[position:]]
     before = output_texts(build(scenario).run())
     assert output_texts(build((wider, jobs, policy, config)).run()) == before
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenarios(), st.data())
+def test_a_fixed_wait_drawn_as_uniform_changes_no_output_byte(scenario, data):
+    sites, jobs, policy, config = scenario
+    fixed = [i for i, (*_, wait, _) in enumerate(sites) if wait and wait.kind == "fixed"]
+    assume(fixed)
+    i = data.draw(st.sampled_from(fixed))
+    site_id, cores, minutes, active, wait, windows = sites[i]
+    # `uniform(n, n)` draws from the site's own wait stream yet always waits n.
+    uniform = (site_id, cores, minutes, active, QueueWait("uniform", wait.low, wait.low), windows)
+    drawn = [*sites[:i], uniform, *sites[i + 1:]]
+    before = output_texts(build(scenario).run())
+    assert output_texts(build((drawn, jobs, policy, config)).run()) == before
 
 
 @settings(max_examples=80, deadline=None)

@@ -10,6 +10,7 @@ from hpcbundle import simcluster
 from hpcbundle.bundling import BundlePolicy, ExecutionSite
 from hpcbundle.dispatcher import JobSpec, JobState
 from hpcbundle.simcluster import (
+    EXIT_CODES,
     GLOBAL_STALL,
     NODE_FAULT,
     STEP_OVERRUN,
@@ -112,12 +113,20 @@ class TestFaultValidation:
         with pytest.raises(ValueError, match="S9"):
             sim([job("a")], faults=(FaultSpec(GLOBAL_STALL, "S9", window=(0, 9)),))
 
-    @pytest.mark.parametrize("bad_id", ["../x", "all", "Makefile", "accounting.txt"])
-    def test_bad_job_id_rejected_before_anything_runs(self, tmp_path, bad_id):
-        # The bad id arrives last, after bundles of the others would have run.
-        jobs = [job("a"), job("b", arrival=100), job(bad_id, arrival=500)]
-        with pytest.raises(ValueError, match="may use only letters"):
-            sim(jobs, out_dir=tmp_path / "out")
+    @pytest.mark.parametrize("late, message", [
+        *(pytest.param(job(bad_id, arrival=500), "may use only letters", id=bad_id)
+          for bad_id in ["../x", "all", "Makefile", "accounting.txt"]),
+        pytest.param(job("a", arrival=500), "duplicate job_id 'a'", id="duplicate"),
+        pytest.param(job("c", cores=0, arrival=500), "cores and minutes must be positive",
+                     id="no-cores"),
+        pytest.param(job("c", req=0, arrival=500), "cores and minutes must be positive",
+                     id="no-minutes"),
+    ])
+    def test_bad_job_id_rejected_before_anything_runs(self, tmp_path, late, message):
+        # The bad job arrives last, after bundles of the others would have run.
+        jobs = [job("a"), job("b", arrival=100), late]
+        with pytest.raises(ValueError, match=message):
+            sim(jobs, out_dir=tmp_path / "out").run()
         assert not (tmp_path / "out").exists()
 
     def test_config_validation(self):
@@ -463,6 +472,7 @@ class TestFinishedRuns:
             # A step writes its sentinel exactly when it completes.
             assert artifacts.sentinels == {
                 j: r[0] == "COMPLETED" for j, r in accounting.rows.items()}
+            assert all(code == EXIT_CODES[word] for word, _, code in accounting.rows.values())
             if run.started_at is not None:
                 started += 1
                 assert run.started_at <= run.finalized_at
