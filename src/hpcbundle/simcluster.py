@@ -449,8 +449,16 @@ class Simulation:
         self._chunks: list[str] = []
         self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
-        check_job_specs(self.workload)  # before any bundle directory is written
-        runtimes = {spec.job_id: max(1, spec.true_runtime_minutes) for spec in self.workload}
+        # Every refusal comes before any bundle directory is written.  The
+        # dispatcher's check leaves out the two columns only a run reads.
+        check_job_specs(self.workload)
+        runtimes: dict[str, int] = {}
+        for job_id, _, _, _, _, true_runtime, arrival in self.workload:
+            if true_runtime < 1:
+                raise ValueError(f"job {job_id!r}: true runtime must be positive")
+            if arrival < 0:
+                raise ValueError(f"job {job_id!r}: arrival_minute must be non-negative")
+            runtimes[job_id] = true_runtime
         seen_sites = {s.site_id for s in sites}
         for fault in config.faults:
             known = seen_sites if fault.kind == GLOBAL_STALL else runtimes

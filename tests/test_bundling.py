@@ -339,6 +339,31 @@ def test_queues_match_the_cut_and_requeue_model(seed, steps):
         assert registry.snapshot_queues() == model.queues
 
 
+@settings(max_examples=500, deadline=None)
+@given(
+    st.integers(1, 16), st.integers(11, 400),
+    st.integers(1, 12), st.floats(0.0, 1.0), st.integers(0, 10),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 99)), max_size=12),
+    st.integers(0, 10_000),
+)
+def test_a_queue_short_of_both_thresholds_never_forms(
+        cores, walltime, min_jobs, min_fill, buffer, requests, now):
+    """Fewer queued jobs than ``min_jobs`` and a buffered queue area under
+    ``min_fill`` of the bin: an unforced attempt proposes nothing, since the
+    packed jobs are a subset of the queue, and still resets the flush timer."""
+    policy = BundlePolicy(min_jobs=min_jobs, min_fill=min_fill, timeout_buffer_minutes=buffer)
+    target = site("S1", cores, walltime)
+    registry = make_registry([target], policy)
+    jobs = {}
+    for i, (c, m) in enumerate(requests):  # each request fits the site's bin
+        jobs[f"j{i}"] = StubJob(1 + c % cores, 1 + m % (walltime - buffer))
+        registry.bind(jobs[f"j{i}"], f"j{i}")
+    queue_area = sum(jobs[j].cores * (jobs[j].requested_minutes + buffer) for j in target.queue)
+    if len(target.queue) < min_jobs and queue_area / (cores * walltime) < min_fill:
+        assert registry.try_form_bundle(target, jobs, now=now) is None
+        assert target.last_attempt_at == now
+
+
 class TestSnapshot:
     def test_snapshot_is_a_copy(self):
         registry = make_registry([site("S1", 6, 100)])

@@ -1,6 +1,7 @@
 """Simulated cluster backend: virtual time, faults, and recovery loops."""
 
 import gc
+import sys
 import weakref
 
 import pytest
@@ -129,6 +130,19 @@ class TestFaultValidation:
             sim(jobs, out_dir=tmp_path / "out").run()
         assert not (tmp_path / "out").exists()
 
+    # The parser refuses these two columns; a library caller's specs get the
+    # same refusal, before any bundle directory is written.
+    @pytest.mark.parametrize("bad, message", [
+        pytest.param(job("c", true=0, arrival=500), "job 'c': true runtime must be positive",
+                     id="no-true-runtime"),
+        pytest.param(job("c", arrival=-50), "job 'c': arrival_minute must be non-negative",
+                     id="negative-arrival"),
+    ])
+    def test_run_only_columns_rejected_before_anything_runs(self, tmp_path, bad, message):
+        with pytest.raises(ValueError, match=message):
+            sim([job("a"), job("b", arrival=100), bad], out_dir=tmp_path / "out").run()
+        assert not (tmp_path / "out").exists()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(grace_minutes=-1)
@@ -179,6 +193,23 @@ class TestScheduleSteps:
         assert states == [JobState.COMPLETED] * n
         # Each step waits for the one beneath it: one minute per level.
         assert log_times(report, "STEP_END")[-1] - log_times(report, "BUNDLE_START")[0] == n
+
+    def test_stack_above_the_recursion_limit_runs_to_completion(self):
+        # The same column, deeper than the interpreter's default recursion
+        # limit, so a recursive walk of the predecessor chain fails here
+        # even at one frame per level, which the 420-deep stack allows.
+        n = 1_200
+        assert n > sys.getrecursionlimit()
+        jobs = [job(f"j{n - k:04d}", cores=1, req=1, true=1, arrival=k) for k in range(n)]
+        report = sim(
+            jobs,
+            sites=[ExecutionSite("thin", 1, n)],
+            policy=BundlePolicy(min_jobs=n, min_fill=1.0, timeout_buffer_minutes=0),
+        ).run()
+        [bundle] = report.dispatcher.bundle_reports
+        assert bundle.n_jobs == n
+        states = [record.state for record in report.dispatcher.jobs.values()]
+        assert states == [JobState.COMPLETED] * n
 
 
 class TestStallArithmetic:
