@@ -67,9 +67,9 @@ class ExecutionSite:
 
     def __post_init__(self) -> None:
         if self.cores_per_node < 1:
-            raise ValueError(f"{self.site_id}: cores_per_node must be >= 1")
+            raise ValueError(f"site {self.site_id!r}: cores_per_node must be >= 1")
         if self.max_walltime_minutes < 1:
-            raise ValueError(f"{self.site_id}: max_walltime_minutes must be >= 1")
+            raise ValueError(f"site {self.site_id!r}: max_walltime_minutes must be >= 1")
 
     def accommodates(self, cores: int, minutes: int, buffer_minutes: int) -> bool:
         """True if a fresh bin of this site can hold the buffered request."""

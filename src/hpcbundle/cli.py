@@ -122,8 +122,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     policy = parse_policy(args.policy)
     config = contents.build_config(seed=args.seed, horizon_minutes=args.horizon)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     sim = Simulation(contents.sites, jobs, policy, config, out_dir=out)
+    out.mkdir(parents=True, exist_ok=True)  # only once the inputs are accepted
     report = sim.run()
     (out / "events.log").write_text(report.event_log_text)
     write_metrics_csv(out / "metrics.csv", report.dispatcher)

@@ -16,7 +16,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Container, Iterable, NamedTuple, Protocol
+from typing import Callable, Container, NamedTuple, Protocol
 
 from .bundling import Bundle, BundlePolicy, ExecutionSite, SiteRegistry
 from .stepgraph import StepGraph, step_graph, emit_make
@@ -43,12 +43,14 @@ RETRY_CAP = 10
 
 # A job id names a step directory, a make target and a word of its recipe, so it may
 # not hold a path separator or a make or shell metacharacter, begin with '.' or '-',
-# or be a name the bundle uses itself: the ``all`` target or a file beside the steps.
-RESERVED_JOB_IDS = ("all", MAKEFILE_FILENAME, ACCOUNTING_FILENAME)
+# or be a name the bundle uses itself: the ``all`` target, a file beside the steps, or
+# a makefile name GNU make reads before ``Makefile``.
+RESERVED_JOB_IDS = ("all", "GNUmakefile", "makefile", MAKEFILE_FILENAME, ACCOUNTING_FILENAME)
 JOB_ID_PATTERN = re.compile(
     r"(?!(?:%s)\Z)[A-Za-z0-9_][A-Za-z0-9._-]*" % "|".join(map(re.escape, RESERVED_JOB_IDS)))
 JOB_ID_RULE = ("may use only letters, digits, '.', '_' and '-', may not start with '.' or '-', "
-               "and may not be 'all', 'Makefile' or 'accounting.txt'")
+               "and may not be %s or %r" % (", ".join(map(repr, RESERVED_JOB_IDS[:-1])),
+                                           RESERVED_JOB_IDS[-1]))
 
 
 class JobState(enum.Enum):
@@ -92,19 +94,19 @@ class JobSpec(NamedTuple):
     arrival_minute: int = 0
 
 
-def check_job_specs(specs: Iterable[JobSpec], known: Container[str] = ()) -> None:
-    """Raise ``ValueError`` on the first spec ``Dispatcher.ingest`` refuses: cores or minutes
-    below 1, an id outside ``JOB_ID_PATTERN``, or an id in ``known`` or on an earlier spec."""
-    match_id = JOB_ID_PATTERN.fullmatch
-    seen: set[str] = set()
-    for job_id, _, _, cores, minutes, _, _ in specs:
-        if cores < 1 or minutes < 1:
-            raise ValueError(f"job {job_id!r}: cores and minutes must be positive")
-        if match_id(job_id) is None:
-            raise ValueError(f"job_id {job_id!r} {JOB_ID_RULE}")
-        if job_id in seen or job_id in known:
-            raise ValueError(f"duplicate job_id {job_id!r}")
-        seen.add(job_id)
+def job_error(spec: JobSpec, known: Container[str]) -> str | None:
+    """Why ``Dispatcher.ingest`` refuses ``spec``, or None: an id outside ``JOB_ID_PATTERN``,
+    an id in ``known``, or ``cores`` or ``requested_minutes`` below 1."""
+    job_id, _, _, cores, minutes, _, _ = spec
+    if JOB_ID_PATTERN.fullmatch(job_id) is None:
+        if job_id.split() != [job_id]:  # also the empty id, whose split is empty
+            return f"job_id {job_id!r} must be non-empty with no whitespace"
+        return f"job_id {job_id!r} {JOB_ID_RULE}"
+    if job_id in known:
+        return f"duplicate job_id {job_id!r}"
+    if cores < 1 or minutes < 1:
+        return f"job {job_id!r}: cores and minutes must be positive"
+    return None
 
 
 @dataclass(slots=True)
@@ -314,7 +316,9 @@ class Dispatcher:
 
     def ingest(self, spec: JobSpec, now: int) -> JobRecord:
         """Register a new job, bind it, and try to form a bundle at its site."""
-        check_job_specs((spec,), self.jobs)
+        error = job_error(spec, self.jobs)
+        if error is not None:
+            raise ValueError(error)
         job = JobRecord(
             job_id=spec.job_id,
             test_id=spec.test_id,

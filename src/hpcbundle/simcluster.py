@@ -27,7 +27,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Container, Iterator, Sequence
 
 from .bundling import Bundle, BundlePolicy, ExecutionSite, SiteRegistry
 from .dispatcher import (
@@ -46,7 +46,7 @@ from .dispatcher import (
     Dispatcher,
     JobSpec,
     MAKEFILE_FILENAME,
-    check_job_specs,
+    job_error,
     make_text,
 )
 from .stepgraph import StepGraph
@@ -88,7 +88,7 @@ class QueueWait:
         if self.kind not in ("fixed", "uniform"):
             raise ValueError(f"unknown queue-wait kind {self.kind!r}")
         if self.low < 0 or (self.kind == "uniform" and self.high < self.low):
-            raise ValueError("queue-wait bounds must satisfy 0 <= low <= high")
+            raise ValueError("queue_wait bounds must satisfy 0 <= LOW <= HIGH")
 
     def sample(self, rng: random.Random | None) -> int:
         if self.kind == "fixed":
@@ -125,6 +125,53 @@ class FaultSpec:
             raise ValueError("GLOBAL_STALL window must satisfy 0 <= start < end")
 
 
+def fault_error(faults: Sequence[FaultSpec], site_ids: Container[str],
+                job_ids: Container[str] | None = None,
+                where: Callable[[int], str] = "faults[{}]".format) -> tuple[int, str] | None:
+    """The first fault a run refuses, as ``(index, message)``, or None.
+
+    A job takes at most one STEP_OVERRUN and one NODE_FAULT; stall windows on one
+    site may touch but not overlap; a stall targets a site in ``site_ids``, and any
+    other fault a job in ``job_ids`` (not checked when it is None).  A repeat or an
+    overlap is reported at the later fault; ``where(i)`` names the earlier ``faults[i]``.
+    """
+    first: dict[tuple[str, str], int] = {}
+    stalls: dict[str, list[tuple[tuple[int, int], int]]] = {}  # site -> (window, index)
+    for i, fault in enumerate(faults):
+        if fault.kind == GLOBAL_STALL:
+            stalls.setdefault(fault.target, []).append((fault.window, i))
+        elif first.setdefault((fault.kind, fault.target), i) != i:
+            return i, (f"repeated {fault.kind} for {fault.target!r}, "
+                       f"first at {where(first[fault.kind, fault.target])}")
+    for site_id, windows in stalls.items():
+        windows.sort()
+        for ((_, end), i), ((start, _), j) in zip(windows, windows[1:]):
+            if start < end:
+                return max(i, j), (f"GLOBAL_STALL window on {site_id!r} overlaps "
+                                   f"the one at {where(min(i, j))}")
+    for i, fault in enumerate(faults):
+        stall = fault.kind == GLOBAL_STALL
+        known = site_ids if stall else job_ids
+        if known is not None and fault.target not in known:
+            return i, f"{fault.kind} target {fault.target!r} names no {'site' if stall else 'job'}"
+    return None
+
+
+def run_job_error(spec: JobSpec, known: Container[str]) -> str | None:
+    """Why a run refuses ``spec``, or None: ``job_error``'s rules, then the two
+    columns only a run reads, a true runtime below 1 or a negative arrival minute."""
+    error = job_error(spec, known)
+    if error is None and spec.true_runtime_minutes < 1:
+        return f"job {spec.job_id!r}: true runtime must be positive"
+    if error is None and spec.arrival_minute < 0:
+        return f"job {spec.job_id!r}: arrival_minute must be non-negative"
+    return error
+
+
+# The settings of a ``[sim]`` section, each with the least value it takes.
+SIM_MINIMUMS = {"grace_minutes": 0, "tick_minutes": 1}
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Knobs for one simulation run; the seed drives every sample."""
@@ -137,10 +184,9 @@ class SimConfig:
     faults: tuple[FaultSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.grace_minutes < 0:
-            raise ValueError("grace_minutes must be >= 0")
-        if self.tick_minutes < 1 or self.horizon_minutes < 1:
-            raise ValueError("tick and horizon must be positive")
+        for key, least in {**SIM_MINIMUMS, "horizon_minutes": 1}.items():
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
 
 
 def schedule_steps(graph: StepGraph, durations: dict[str, int]) -> dict[str, tuple[int, int]]:
@@ -227,14 +273,11 @@ class SimCluster:
                 self._sentinel_suppression[fault.target] = fault.times
             else:
                 self.stall_windows.setdefault(fault.target, []).append(fault.window)
-        # Sorted windows that do not overlap also have increasing ends,
-        # which the stall arithmetic bisects.
+        # ``Simulation`` refuses overlapping windows, so sorted windows also have
+        # increasing ends, which the stall arithmetic bisects.
         self._stall_ends: dict[str, list[int]] = {}
         for site_id, windows in self.stall_windows.items():
             windows.sort()
-            for (_, e0), (s1, _) in zip(windows, windows[1:]):
-                if s1 < e0:
-                    raise ValueError("GLOBAL_STALL windows on one site must not overlap")
             self._stall_ends[site_id] = [e for _, e in windows]
 
     # -- virtual-time arithmetic under site freezes ----------------------
@@ -449,21 +492,16 @@ class Simulation:
         self._chunks: list[str] = []
         self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
-        # Every refusal comes before any bundle directory is written.  The
-        # dispatcher's check leaves out the two columns only a run reads.
-        check_job_specs(self.workload)
+        # Every refusal comes before any bundle directory is written.
         runtimes: dict[str, int] = {}
-        for job_id, _, _, _, _, true_runtime, arrival in self.workload:
-            if true_runtime < 1:
-                raise ValueError(f"job {job_id!r}: true runtime must be positive")
-            if arrival < 0:
-                raise ValueError(f"job {job_id!r}: arrival_minute must be non-negative")
-            runtimes[job_id] = true_runtime
-        seen_sites = {s.site_id for s in sites}
-        for fault in config.faults:
-            known = seen_sites if fault.kind == GLOBAL_STALL else runtimes
-            if fault.target not in known:
-                raise ValueError(f"fault target {fault.target!r} does not exist")
+        for spec in self.workload:
+            error = run_job_error(spec, runtimes)
+            if error is not None:
+                raise ValueError(error)
+            runtimes[spec.job_id] = spec.true_runtime_minutes
+        refused = fault_error(config.faults, {s.site_id for s in sites}, runtimes)
+        if refused is not None:
+            raise ValueError(refused[1])
         self.registry = SiteRegistry(sites, policy, derive_rng(config.seed, "bind"))
         self.sink = CollectingSink()
         self.backend = SimCluster(self, config, runtimes)

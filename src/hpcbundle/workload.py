@@ -2,9 +2,14 @@
 
 The sites file is a line-oriented section format (documented in the
 README) holding execution-site definitions plus optional simulation
-settings and fault injections.  The workload is plain CSV.  Parsers
-report errors with line numbers; emitters produce text whose re-parse
-is identical, so parse-emit round trips are stable.
+settings and fault injections.  The workload is plain CSV.  The parsers
+own only the syntax: sections, keys, field counts and integers.  Every
+rule on a value belongs to the library code that reads it
+(``simcluster.run_job_error`` and ``fault_error``, the constructors of
+``ExecutionSite``, ``QueueWait``, ``FaultSpec`` and ``SimConfig``), and a
+parser raises its message as a ``ParseError`` with the line in front.
+Emitters produce text whose re-parse is identical, so parse-emit round
+trips are stable.
 """
 
 from __future__ import annotations
@@ -13,23 +18,24 @@ import csv
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .bundling import BundlePolicy, ExecutionSite
-from .dispatcher import JOB_ID_PATTERN, JOB_ID_RULE, JobSpec
+from .dispatcher import JobSpec
 from .simcluster import (
     GLOBAL_STALL,
     NODE_FAULT,
+    SIM_MINIMUMS,
     STEP_OVERRUN,
     FaultSpec,
     QueueWait,
     SimConfig,
+    fault_error,
+    run_job_error,
 )
 
 WORKLOAD_COLUMNS = list(JobSpec._fields)
-
-# The [sim] keys and the least value each takes.
-_SIM_MINIMUMS = {"grace_minutes": 0, "tick_minutes": 1}
+_T = TypeVar("_T")
 
 _POLICY_KEYS = {
     "min_jobs": ("min_jobs", int),
@@ -48,6 +54,14 @@ def _fail(lineno: int, message: str) -> None:
     raise ParseError(f"line {lineno}: {message}")
 
 
+def _build(lineno: int, make: Callable[..., _T], *args: object, **kwargs: object) -> _T:
+    """Call a library constructor, whose ``ValueError`` becomes a ``ParseError`` at ``lineno``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        _fail(lineno, str(exc))
+
+
 @dataclass
 class SiteFileContents:
     """Everything a sites file can declare."""
@@ -58,19 +72,14 @@ class SiteFileContents:
     tick_minutes: int | None = None
     faults: list[FaultSpec] = field(default_factory=list)
 
+    def _sim_settings(self) -> dict[str, int]:
+        """The ``[sim]`` settings the file gives."""
+        return {key: getattr(self, key) for key in SIM_MINIMUMS if getattr(self, key) is not None}
+
     def build_config(self, seed: int, horizon_minutes: int = 1_000_000) -> SimConfig:
-        kwargs: dict[str, object] = {}
-        if self.grace_minutes is not None:
-            kwargs["grace_minutes"] = self.grace_minutes
-        if self.tick_minutes is not None:
-            kwargs["tick_minutes"] = self.tick_minutes
-        return SimConfig(
-            seed=seed,
-            horizon_minutes=horizon_minutes,
-            queue_waits=dict(self.queue_waits),
-            faults=tuple(self.faults),
-            **kwargs,
-        )
+        return SimConfig(seed=seed, horizon_minutes=horizon_minutes,
+                         queue_waits=dict(self.queue_waits), faults=tuple(self.faults),
+                         **self._sim_settings())
 
 
 def _parse_bool(value: str, lineno: int) -> bool:
@@ -96,10 +105,7 @@ def _parse_queue_wait(value: str, lineno: int) -> QueueWait:
         bounds = []
     if len(bounds) != {"fixed": 1, "uniform": 2}.get(kind):
         _fail(lineno, f"expected 'fixed N' or 'uniform LOW HIGH', got {value!r}")
-    try:
-        return QueueWait(kind, *bounds)
-    except ValueError:
-        _fail(lineno, f"queue_wait bounds must satisfy 0 <= LOW <= HIGH, got {value!r}")
+    return _build(lineno, QueueWait, kind, *bounds)
 
 
 def parse_sites_text(text: str) -> SiteFileContents:
@@ -110,8 +116,7 @@ def parse_sites_text(text: str) -> SiteFileContents:
     site_ids: set[str] = set()
     section_line = 0
     sim_seen = False
-    fault_lines: dict[tuple[str, str], int] = {}  # (kind, target) -> section line
-    stalls: dict[str, list[tuple[tuple[int, int], int]]] = {}  # site -> (window, line)
+    fault_lines: list[int] = []  # the section line of each fault
 
     def close_section() -> None:
         if section == "site":
@@ -120,15 +125,8 @@ def parse_sites_text(text: str) -> SiteFileContents:
             if wait is not None:
                 contents.queue_waits[site_id] = _parse_queue_wait(*wait)
         elif section == "fault":
-            fault = _build_fault(kv, section_line)
-            if fault.kind == GLOBAL_STALL:
-                stalls.setdefault(fault.target, []).append((fault.window, section_line))
-            else:
-                first = fault_lines.setdefault((fault.kind, fault.target), section_line)
-                if first != section_line:
-                    _fail(section_line,
-                          f"repeated {fault.kind} for {fault.target!r}, first at line {first}")
-            contents.faults.append(fault)
+            contents.faults.append(_build_fault(kv, section_line))
+            fault_lines.append(section_line)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -163,31 +161,24 @@ def parse_sites_text(text: str) -> SiteFileContents:
             _fail(lineno, f"duplicate key {key!r}")
         kv[key] = (value, lineno)
         if section == "sim":
-            if key not in _SIM_MINIMUMS:
+            if key not in SIM_MINIMUMS:
                 _fail(lineno, f"unknown [sim] key {key!r}")
             number = _parse_int(value, lineno)
-            if number < _SIM_MINIMUMS[key]:
-                _fail(lineno, f"{key} must be >= {_SIM_MINIMUMS[key]}, got {number}")
+            _build(lineno, SimConfig, **{key: number})  # SimConfig owns each least value
             setattr(contents, key, number)
         elif section is None:
             _fail(lineno, "key-value pair outside any section")
     close_section()
-    # The rules SimCluster and Simulation enforce, with a section's line:
-    # windows on one site may touch but not overlap, and a stall targets a
-    # site of this file.
-    for target, windows in stalls.items():
-        windows.sort()
-        for ((_, end), line0), ((start, _), line1) in zip(windows, windows[1:]):
-            if start < end:
-                _fail(max(line0, line1), f"GLOBAL_STALL window on {target!r} overlaps "
-                                         f"the one at line {min(line0, line1)}")
-        if target not in site_ids:
-            _fail(min(line for _, line in windows),
-                  f"GLOBAL_STALL target {target!r} names no site in this file")
+    # The simulator's fault rules, with each fault named by its section's line.
+    refused = fault_error(contents.faults, site_ids, where=lambda i: f"line {fault_lines[i]}")
+    if refused is not None:
+        _fail(fault_lines[refused[0]], refused[1])
     return contents
 
 
 _SITE_KEYS = {"cores_per_node", "max_walltime_minutes", "active", "queue_wait"}
+# A [fault] section's one key beside kind and target, by kind.
+_FAULT_KEYS = {STEP_OVERRUN: "multiplier", NODE_FAULT: "times", GLOBAL_STALL: "window"}
 
 
 def _build_site(site_id: str, kv: dict[str, tuple[str, int]], lineno: int) -> ExecutionSite:
@@ -197,59 +188,42 @@ def _build_site(site_id: str, kv: dict[str, tuple[str, int]], lineno: int) -> Ex
     for required in ("cores_per_node", "max_walltime_minutes"):
         if required not in kv:
             _fail(lineno, f"site {site_id!r} missing {required}")
-    try:
-        return ExecutionSite(
-            site_id=site_id,
-            cores_per_node=_parse_int(*kv["cores_per_node"]),
-            max_walltime_minutes=_parse_int(*kv["max_walltime_minutes"]),
-            active=_parse_bool(*kv["active"]) if "active" in kv else True,
-        )
-    except ParseError:
-        raise
-    except ValueError as exc:
-        _fail(lineno, f"site {site_id!r}: {exc}")
+    return _build(lineno, ExecutionSite, site_id,
+                  cores_per_node=_parse_int(*kv["cores_per_node"]),
+                  max_walltime_minutes=_parse_int(*kv["max_walltime_minutes"]),
+                  active=_parse_bool(*kv["active"]) if "active" in kv else True)
 
 
 def _build_fault(kv: dict[str, tuple[str, int]], lineno: int) -> FaultSpec:
     if "kind" not in kv or "target" not in kv:
         _fail(lineno, "fault section needs kind and target")
-    kind = kv["kind"][0]
-    target = kv["target"][0]
-    try:
-        if kind == STEP_OVERRUN:
-            if "multiplier" not in kv:
-                _fail(lineno, "STEP_OVERRUN needs multiplier")
-            return FaultSpec(kind, target, multiplier=_parse_int(*kv["multiplier"]))
-        if kind == NODE_FAULT:
-            times = _parse_int(*kv["times"]) if "times" in kv else 1
-            return FaultSpec(kind, target, times=times)
-        if kind == GLOBAL_STALL:
-            if "window" not in kv:
-                _fail(lineno, "GLOBAL_STALL needs window")
-            value, value_line = kv["window"]
-            parts = value.split()
-            if len(parts) != 2:
-                _fail(value_line, f"expected 'window = START END', got {value!r}")
-            return FaultSpec(
-                kind, target,
-                window=(_parse_int(parts[0], value_line), _parse_int(parts[1], value_line)),
-            )
-    except ParseError:
-        raise
-    except ValueError as exc:
-        _fail(lineno, str(exc))
-    _fail(kv["kind"][1], f"unknown fault kind {kind!r}")
+    (kind, kind_line), (target, _) = kv["kind"], kv["target"]
+    own = _FAULT_KEYS.get(kind)
+    if own is None:
+        _fail(kind_line, f"unknown fault kind {kind!r}")
+    for key, (_, key_line) in kv.items():
+        if key not in ("kind", "target", own):
+            _fail(key_line, f"unknown {kind} key {key!r}")
+    if own not in kv:
+        if kind != NODE_FAULT:  # a node fault takes FaultSpec's default times
+            _fail(lineno, f"{kind} needs {own}")
+        return FaultSpec(kind, target)
+    value, value_line = kv[own]
+    if kind == GLOBAL_STALL:
+        parts = value.split()
+        if len(parts) != 2:
+            _fail(value_line, f"expected 'window = START END', got {value!r}")
+        parsed = tuple(_parse_int(part, value_line) for part in parts)
+    else:
+        parsed = _parse_int(value, value_line)
+    return _build(lineno, FaultSpec, kind, target, **{own: parsed})
 
 
 def emit_sites(contents: SiteFileContents) -> str:
     lines: list[str] = []
-    if contents.grace_minutes is not None or contents.tick_minutes is not None:
-        lines.append("[sim]")
-        if contents.grace_minutes is not None:
-            lines.append(f"grace_minutes = {contents.grace_minutes}")
-        if contents.tick_minutes is not None:
-            lines.append(f"tick_minutes = {contents.tick_minutes}")
-        lines.append("")
+    settings = contents._sim_settings()
+    if settings:
+        lines += ["[sim]", *(f"{key} = {value}" for key, value in settings.items()), ""]
     for site in contents.sites:
         lines.append(f"[site {site.site_id}]")
         lines.append(f"cores_per_node = {site.cores_per_node}")
@@ -263,16 +237,10 @@ def emit_sites(contents: SiteFileContents) -> str:
                 lines.append(f"queue_wait = uniform {wait.low} {wait.high}")
         lines.append("")
     for fault in contents.faults:
-        lines.append("[fault]")
-        lines.append(f"kind = {fault.kind}")
-        lines.append(f"target = {fault.target}")
-        if fault.kind == STEP_OVERRUN:
-            lines.append(f"multiplier = {fault.multiplier}")
-        elif fault.kind == NODE_FAULT:
-            lines.append(f"times = {fault.times}")
-        else:
-            lines.append(f"window = {fault.window[0]} {fault.window[1]}")
-        lines.append("")
+        own = _FAULT_KEYS[fault.kind]
+        value = " ".join(map(str, fault.window)) if own == "window" else getattr(fault, own)
+        lines += ["[fault]", f"kind = {fault.kind}", f"target = {fault.target}",
+                  f"{own} = {value}", ""]
     return "\n".join(lines)
 
 
@@ -288,35 +256,23 @@ def parse_workload_text(text: str) -> list[JobSpec]:
             f"line 1: expected header {','.join(WORKLOAD_COLUMNS)}, "
             f"got {','.join(header or ['<empty>'])}"
         )
-    jobs: list[JobSpec] = []
-    seen: set[str] = set()
-    match_id = JOB_ID_PATTERN.fullmatch  # bound once, outside the row loop
-    for row in reader:
+    jobs: dict[str, JobSpec] = {}  # by id, in row order
+    for row in reader:  # an error names ``reader.line_num``, the row's last line
         if not row:
             continue  # a blank line
-        lineno = reader.line_num
         if len(row) != 7:
-            _fail(lineno, "wrong number of fields")
+            _fail(reader.line_num, "wrong number of fields")
         job_id, test_id, model_id, cores, requested, true_runtime, arrival = row
-        if match_id(job_id) is None:
-            # The whitespace message also covers the empty id, whose split is empty.
-            if job_id.split() != [job_id]:
-                _fail(lineno, f"job_id {job_id!r} must be non-empty with no whitespace")
-            _fail(lineno, f"job_id {job_id!r} {JOB_ID_RULE}")
-        if job_id in seen:
-            _fail(lineno, f"duplicate job_id {job_id!r}")
-        seen.add(job_id)
         try:
-            cores, requested, true_runtime, arrival = (
-                int(cores), int(requested), int(true_runtime), int(arrival))
+            spec = JobSpec(job_id, test_id, model_id,
+                           int(cores), int(requested), int(true_runtime), int(arrival))
         except ValueError:  # name the first bad column
-            cores, requested, true_runtime, arrival = (_parse_int(v, lineno) for v in row[3:])
-        if cores < 1 or requested < 1 or true_runtime < 1:
-            _fail(lineno, "cores, requested and true runtime must be positive")
-        if arrival < 0:
-            _fail(lineno, "arrival_minute must be non-negative")
-        jobs.append(JobSpec(job_id, test_id, model_id, cores, requested, true_runtime, arrival))
-    return jobs
+            spec = JobSpec(*row[:3], *(_parse_int(v, reader.line_num) for v in row[3:]))
+        error = run_job_error(spec, jobs)
+        if error is not None:
+            _fail(reader.line_num, error)
+        jobs[job_id] = spec
+    return list(jobs.values())
 
 
 def emit_workload(jobs: Sequence[JobSpec]) -> str:

@@ -22,7 +22,8 @@ The workload-CSV oracle parses through ``csv.DictReader`` and converts
 one column at a time; the production parser makes one pass over
 ``csv.reader`` rows.  Both must return the same jobs or raise the same
 message.  The oracle checks the job-id rule by character sets; the
-parser by one regular expression.
+parser, through ``simcluster.run_job_error``, by one regular expression.
+Both check a row's integers before its id, sizes, runtime and arrival.
 
 The queue model keeps each site queue as a plain list and cuts a
 bundle's members out as soon as the bundle is formed; a rejected
@@ -242,25 +243,27 @@ def parse_workload_text(text: str) -> list[JobSpec]:
         lineno = reader.line_num
         if None in row.values() or None in row:
             fail(lineno, "wrong number of fields")
-        job_id = row["job_id"]
-        if job_id.split() != [job_id]:
-            fail(lineno, f"job_id {job_id!r} must be non-empty with no whitespace")
-        if (job_id[0] not in _ID_FIRST or not set(job_id) <= _ID_CHARS
-                or job_id in ("all", "Makefile", "accounting.txt")):
-            fail(lineno, f"job_id {job_id!r} may use only letters, digits, '.', '_' and '-', "
-                         "may not start with '.' or '-', "
-                         "and may not be 'all', 'Makefile' or 'accounting.txt'")
-        if job_id in seen:
-            fail(lineno, f"duplicate job_id {job_id!r}")
-        seen.add(job_id)
         cores = parse_int(row["cores"], lineno)
         requested = parse_int(row["requested_minutes"], lineno)
         true_runtime = parse_int(row["true_runtime_minutes"], lineno)
         arrival = parse_int(row["arrival_minute"], lineno)
-        if cores < 1 or requested < 1 or true_runtime < 1:
-            fail(lineno, "cores, requested and true runtime must be positive")
+        job_id = row["job_id"]
+        if job_id.split() != [job_id]:
+            fail(lineno, f"job_id {job_id!r} must be non-empty with no whitespace")
+        if (job_id[0] not in _ID_FIRST or not set(job_id) <= _ID_CHARS
+                or job_id in ("all", "GNUmakefile", "makefile", "Makefile", "accounting.txt")):
+            fail(lineno, f"job_id {job_id!r} may use only letters, digits, '.', '_' and '-', "
+                         "may not start with '.' or '-', and may not be 'all', 'GNUmakefile', "
+                         "'makefile', 'Makefile' or 'accounting.txt'")
+        if job_id in seen:
+            fail(lineno, f"duplicate job_id {job_id!r}")
+        seen.add(job_id)
+        if cores < 1 or requested < 1:
+            fail(lineno, f"job {job_id!r}: cores and minutes must be positive")
+        if true_runtime < 1:
+            fail(lineno, f"job {job_id!r}: true runtime must be positive")
         if arrival < 0:
-            fail(lineno, "arrival_minute must be non-negative")
+            fail(lineno, f"job {job_id!r}: arrival_minute must be non-negative")
         jobs.append(
             JobSpec(
                 job_id=job_id,

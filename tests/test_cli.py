@@ -150,6 +150,17 @@ class TestSimulate:
         assert rc == 0
         assert "jobs            0" in capsys.readouterr().out
 
+    def test_refused_inputs_leave_no_out_directory(self, inputs, tmp_path, capsys):
+        # The parser cannot see that no job is named 'ghost'; the simulation refuses it.
+        sites, workload = inputs
+        sites.write_text(SITES + "\n[fault]\nkind = NODE_FAULT\ntarget = ghost\n")
+        out_dir = tmp_path / "run-ghost"
+        rc = main(["simulate", "--sites", str(sites), "--workload", str(workload),
+                   "--out", str(out_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: NODE_FAULT target 'ghost' names no job\n"
+        assert not out_dir.exists()
+
     def test_horizon_warning(self, tmp_path, capsys):
         # A roomy site lets the request double indefinitely, so the job
         # is still live when the horizon cuts the run short.

@@ -116,7 +116,7 @@ class TestFaultValidation:
 
     @pytest.mark.parametrize("late, message", [
         *(pytest.param(job(bad_id, arrival=500), "may use only letters", id=bad_id)
-          for bad_id in ["../x", "all", "Makefile", "accounting.txt"]),
+          for bad_id in ["../x", "all", "GNUmakefile", "makefile", "Makefile", "accounting.txt"]),
         pytest.param(job("a", arrival=500), "duplicate job_id 'a'", id="duplicate"),
         pytest.param(job("c", cores=0, arrival=500), "cores and minutes must be positive",
                      id="no-cores"),
@@ -148,6 +148,33 @@ class TestFaultValidation:
             SimConfig(grace_minutes=-1)
         with pytest.raises(ValueError):
             SimConfig(tick_minutes=0)
+
+    @pytest.mark.parametrize("faults, message", [
+        pytest.param((FaultSpec(STEP_OVERRUN, "a", multiplier=2),
+                      FaultSpec(STEP_OVERRUN, "a", multiplier=3)),
+                     "repeated STEP_OVERRUN for 'a', first at faults[0]", id="overrun"),
+        pytest.param((FaultSpec(NODE_FAULT, "a"), FaultSpec(STEP_OVERRUN, "a", multiplier=2),
+                      FaultSpec(NODE_FAULT, "a", times=2)),
+                     "repeated NODE_FAULT for 'a', first at faults[0]", id="node-fault"),
+        pytest.param((FaultSpec(GLOBAL_STALL, "S1", window=(0, 100)),
+                      FaultSpec(GLOBAL_STALL, "S1", window=(100, 200)),
+                      FaultSpec(GLOBAL_STALL, "S1", window=(20, 30))),
+                     "GLOBAL_STALL window on 'S1' overlaps the one at faults[0]", id="stall"),
+    ])
+    def test_conflicting_faults_rejected_before_anything_runs(self, tmp_path, faults, message):
+        # Refused before any bundle directory is written.
+        with pytest.raises(ValueError) as excinfo:
+            sim([job("a")], faults=faults, out_dir=tmp_path / "out")
+        assert str(excinfo.value) == message
+        assert not (tmp_path / "out").exists()
+
+    def test_touching_stall_windows_and_one_fault_of_each_kind_accepted(self):
+        faults = (FaultSpec(GLOBAL_STALL, "S1", window=(10, 20)),
+                  FaultSpec(GLOBAL_STALL, "S1", window=(0, 10)),
+                  FaultSpec(STEP_OVERRUN, "a", multiplier=2), FaultSpec(NODE_FAULT, "a"))
+        report = sim([job("a", req=30, true=10)], faults=faults).run()
+        assert report.backend.stall_windows == {"S1": [(0, 10), (10, 20)]}
+        assert report.dispatcher.all_terminal()
 
 
 class TestScheduleSteps:
@@ -345,6 +372,18 @@ class TestStepKillRule:
         assert record.state is JobState.COMPLETED
         assert record.timeout_count == 0
         assert record.attempts == 1
+
+    def test_step_ending_at_the_cancel_minute_keeps_its_verdict(self):
+        # The cancel is pushed before the run, so it precedes the minute-20
+        # end of step a in the event queue; the step still ends COMPLETED.
+        s = sim([job("a", cores=2, req=30, true=20), job("b", cores=2, req=30, true=50)],
+                sites=[ExecutionSite("s", 8, 100)],
+                policy=BundlePolicy(min_jobs=2, min_fill=0.0), horizon_minutes=60)
+        s.push(20, lambda now: s.backend.cancel("sim-00001"))
+        report = s.run()
+        ends = [line.split() for line in report.log if " STEP_END " in line or " BUNDLE_END " in line]
+        assert ends[:2] == [["20", "STEP_END", "B00001/a", "COMPLETED", "elapsed", "20"],
+                            ["20", "BUNDLE_END", "B00001", "killed"]]
 
 
 class TestBundleKill:

@@ -12,6 +12,8 @@ from hpcbundle.simcluster import (
     STEP_OVERRUN,
     FaultSpec,
     QueueWait,
+    SimConfig,
+    Simulation,
 )
 from hpcbundle.workload import (
     WORKLOAD_COLUMNS,
@@ -160,6 +162,9 @@ class TestSitesParsing:
              "[fault]\nkind = GLOBAL_STALL\ntarget = nosuch\nwindow = 0 10\n"
              "[fault]\nkind = GLOBAL_STALL\ntarget = nosuch\nwindow = 20 30\n", 8,
              "GLOBAL_STALL target 'nosuch' names no site"),
+            # The site's own refusal already names it, so the parser only adds the line.
+            ("[site s]\ncores_per_node = 0\nmax_walltime_minutes = 9\n", 1,
+             "line 1: site 's': cores_per_node must be >= 1"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, lineno, fragment):
@@ -198,6 +203,21 @@ class TestSitesParsing:
     def test_invalid_window_bounds_rejected(self):
         text = "[fault]\nkind = GLOBAL_STALL\ntarget = s\nwindow = 90 10\n"
         with pytest.raises(ParseError):
+            parse_sites_text(text)
+
+    @pytest.mark.parametrize("kind, target, own, foreign", [
+        (STEP_OVERRUN, "j", "multiplier = 2", "window = 1 2"),
+        (NODE_FAULT, "j", "times = 2", "multiplier = 3"),
+        (GLOBAL_STALL, "s", "window = 0 10", "times = 3"),
+    ], ids=[STEP_OVERRUN, NODE_FAULT, GLOBAL_STALL])
+    @pytest.mark.parametrize("which", ["unknown", "foreign"])
+    def test_fault_key_of_another_kind_or_none_refused_at_its_line(
+            self, kind, target, own, foreign, which):
+        extra = "tims = 3" if which == "unknown" else foreign
+        text = ("[site s]\ncores_per_node = 4\nmax_walltime_minutes = 9\n"
+                f"[fault]\nkind = {kind}\n{extra}\ntarget = {target}\n{own}\n")
+        key = extra.split()[0]
+        with pytest.raises(ParseError, match=f"^line 6: unknown {kind} key '{key}'$"):
             parse_sites_text(text)
 
 
@@ -252,7 +272,10 @@ class TestWorkloadParsing:
             (",t,m,4,120,95,0", 3, "non-empty"),
             ("../x,t,m,4,120,95,0", 3, "may use only letters, digits, '.', '_' and '-'"),
             ("-x,t,m,4,120,95,0", 3, "may not start with '.' or '-'"),
-            ("all,t,m,4,120,95,0", 3, "may not be 'all', 'Makefile' or 'accounting.txt'"),
+            ("all,t,m,4,120,95,0", 3,
+             "may not be 'all', 'GNUmakefile', 'makefile', 'Makefile' or 'accounting.txt'"),
+            ("GNUmakefile,t,m,4,120,95,0", 3, "job_id 'GNUmakefile' may use only"),
+            ("makefile,t,m,4,120,95,0", 3, "job_id 'makefile' may use only"),
             ("Makefile,t,m,4,120,95,0", 3, "job_id 'Makefile' may use only"),
             ("accounting.txt,t,m,4,120,95,0", 3, "job_id 'accounting.txt' may use only"),
         ],
@@ -323,7 +346,7 @@ def workload_texts(draw):
         elif fault == "bad_id":
             row[0] = draw(st.sampled_from(
                 ["", " ", "J 1", "\tJ1", "J1 ", "/tmp/x", "../x", "a:b", ".",
-                 "all", "Makefile", "accounting.txt"]))
+                 "all", "GNUmakefile", "makefile", "Makefile", "accounting.txt"]))
         elif fault == "dup" and ids:
             row[0] = draw(st.sampled_from(ids))
         elif fault == "zero":
@@ -347,6 +370,43 @@ def _outcome(parse, text):
 @given(workload_texts())
 def test_parser_matches_dictreader_oracle(text):
     assert _outcome(parse_workload_text, text) == _outcome(reference.parse_workload_text, text)
+
+
+_BAD_IDS = ["", " ", "J 1", "../x", "/tmp/x", "a:b", ".x", "-x",
+            "all", "GNUmakefile", "makefile", "Makefile", "accounting.txt"]
+
+
+@st.composite
+def workloads_breaking_one_job_rule(draw):
+    """Valid jobs, then one that breaks one job rule, then more valid jobs."""
+    def valid(i):
+        return JobSpec(f"J{i}", "T", "M", draw(st.integers(1, 8)), draw(st.integers(1, 60)),
+                       draw(st.integers(1, 60)), draw(st.integers(0, 60)))
+
+    before = [valid(i) for i in range(draw(st.integers(0, 3)))]
+    bad = valid(len(before))
+    rule = draw(st.sampled_from(
+        ["job_id", "cores", "requested_minutes", "true_runtime_minutes", "arrival_minute"]))
+    if rule == "job_id":  # a malformed id, or one an earlier job holds
+        ids = _BAD_IDS + [spec.job_id for spec in before]
+        bad = bad._replace(job_id=draw(st.sampled_from(ids)))
+    else:
+        least = 0 if rule == "arrival_minute" else 1
+        bad = bad._replace(**{rule: draw(st.integers(least - 3, least - 1))})
+    after = [valid(len(before) + 1 + i) for i in range(draw(st.integers(0, 2)))]
+    return before + [bad] + after, len(before) + 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(workloads_breaking_one_job_rule())
+def test_parser_refuses_a_job_in_the_words_of_the_simulation(case):
+    # One rule per job column: the parser adds only the line to the library's refusal.
+    jobs, lineno = case
+    with pytest.raises(ValueError) as refused:
+        Simulation([ExecutionSite("s", 8, 100)], jobs, BundlePolicy(), SimConfig())
+    with pytest.raises(ParseError) as parse_error:
+        parse_workload_text(emit_workload(jobs))
+    assert str(parse_error.value) == f"line {lineno}: {refused.value}"
 
 
 class TestPolicyParsing:
