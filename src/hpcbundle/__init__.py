@@ -42,8 +42,6 @@ from .stepgraph import StepGraph, beneath_relation, emit_make, step_graph, trans
 from .workload import (
     ParseError,
     SiteFileContents,
-    emit_sites,
-    emit_workload,
     parse_policy,
     parse_sites_text,
     parse_workload_text,
@@ -79,8 +77,6 @@ __all__ = [
     "bounding_request",
     "derive_rng",
     "emit_make",
-    "emit_sites",
-    "emit_workload",
     "make_text",
     "parse_policy",
     "parse_sites_text",

@@ -133,7 +133,7 @@ class SiteRegistry:
         self.sites: dict[str, ExecutionSite] = {}
         for site in sites:
             if site.site_id in self.sites:
-                raise ValueError(f"duplicate site_id {site.site_id!r}")
+                raise ValueError(f"duplicate site id {site.site_id!r}")
             self.sites[site.site_id] = site
         self.policy = policy
         self.rng = rng

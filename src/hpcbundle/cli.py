@@ -72,6 +72,8 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     contents = parse_sites_file(args.sites)
     site = _choose_site(contents, args.site)
     jobs = parse_workload_file(args.workload)
+    if not jobs:
+        raise ParseError("workload declares no jobs")
     policy = parse_policy(args.policy)
     buffer = policy.timeout_buffer_minutes
 

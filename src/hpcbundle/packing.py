@@ -63,8 +63,8 @@ class Placement(NamedTuple):
     def top(self) -> int:
         return self.y + self.rect.minutes
 
-    def overlaps(self, other: Placement | FreeRect) -> bool:
-        """True if the two rectangles share interior area."""
+    def overlaps(self, other: Placement) -> bool:
+        """True if the two placements share interior area."""
         return (
             other.x < self.right
             and self.x < other.right
@@ -73,30 +73,13 @@ class Placement(NamedTuple):
         )
 
 
-@dataclass(frozen=True, slots=True)
-class FreeRect:
-    """A maximal empty rectangle tracked in a bin's free list."""
+class FreeRect(NamedTuple):
+    """A maximal empty rectangle of a bin, as ``PackingBin.free_list`` reports it."""
 
     x: int
     y: int
     width: int
     height: int
-
-    @property
-    def right(self) -> int:
-        return self.x + self.width
-
-    @property
-    def top(self) -> int:
-        return self.y + self.height
-
-    def contains(self, other: "FreeRect") -> bool:
-        return (
-            other.x >= self.x
-            and other.y >= self.y
-            and other.right <= self.right
-            and other.top <= self.top
-        )
 
 
 def bounding_request(placements: Sequence[Placement]) -> tuple[int, int]:

@@ -40,9 +40,6 @@ class StepGraph:
     def predecessors(self, node: str) -> list[str]:
         return list(self._preds.get(node, ()))
 
-    def successors(self, node: str) -> list[str]:
-        return sorted(post for pre, post in self.edges if pre == node)
-
     def roots(self) -> list[str]:
         return sorted(n for n in self.nodes if n not in self._preds)
 

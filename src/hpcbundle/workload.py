@@ -18,7 +18,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 from .bundling import BundlePolicy, ExecutionSite
 from .dispatcher import JobSpec
@@ -72,14 +72,11 @@ class SiteFileContents:
     tick_minutes: int | None = None
     faults: list[FaultSpec] = field(default_factory=list)
 
-    def _sim_settings(self) -> dict[str, int]:
-        """The ``[sim]`` settings the file gives."""
-        return {key: getattr(self, key) for key in SIM_MINIMUMS if getattr(self, key) is not None}
-
     def build_config(self, seed: int, horizon_minutes: int = 1_000_000) -> SimConfig:
+        settings = {key: getattr(self, key) for key in SIM_MINIMUMS if getattr(self, key) is not None}
         return SimConfig(seed=seed, horizon_minutes=horizon_minutes,
                          queue_waits=dict(self.queue_waits), faults=tuple(self.faults),
-                         **self._sim_settings())
+                         **settings)
 
 
 def _parse_bool(value: str, lineno: int) -> bool:
@@ -200,7 +197,7 @@ def _build_fault(kv: dict[str, tuple[str, int]], lineno: int) -> FaultSpec:
     (kind, kind_line), (target, _) = kv["kind"], kv["target"]
     own = _FAULT_KEYS.get(kind)
     if own is None:
-        _fail(kind_line, f"unknown fault kind {kind!r}")
+        _build(kind_line, FaultSpec, kind, target)  # FaultSpec refuses the kind
     for key, (_, key_line) in kv.items():
         if key not in ("kind", "target", own):
             _fail(key_line, f"unknown {kind} key {key!r}")
@@ -217,31 +214,6 @@ def _build_fault(kv: dict[str, tuple[str, int]], lineno: int) -> FaultSpec:
     else:
         parsed = _parse_int(value, value_line)
     return _build(lineno, FaultSpec, kind, target, **{own: parsed})
-
-
-def emit_sites(contents: SiteFileContents) -> str:
-    lines: list[str] = []
-    settings = contents._sim_settings()
-    if settings:
-        lines += ["[sim]", *(f"{key} = {value}" for key, value in settings.items()), ""]
-    for site in contents.sites:
-        lines.append(f"[site {site.site_id}]")
-        lines.append(f"cores_per_node = {site.cores_per_node}")
-        lines.append(f"max_walltime_minutes = {site.max_walltime_minutes}")
-        lines.append(f"active = {'true' if site.active else 'false'}")
-        wait = contents.queue_waits.get(site.site_id)
-        if wait is not None:
-            if wait.kind == "fixed":
-                lines.append(f"queue_wait = fixed {wait.low}")
-            else:
-                lines.append(f"queue_wait = uniform {wait.low} {wait.high}")
-        lines.append("")
-    for fault in contents.faults:
-        own = _FAULT_KEYS[fault.kind]
-        value = " ".join(map(str, fault.window)) if own == "window" else getattr(fault, own)
-        lines += ["[fault]", f"kind = {fault.kind}", f"target = {fault.target}",
-                  f"{own} = {value}", ""]
-    return "\n".join(lines)
 
 
 def parse_sites_file(path: str | Path) -> SiteFileContents:
@@ -273,14 +245,6 @@ def parse_workload_text(text: str) -> list[JobSpec]:
             _fail(reader.line_num, error)
         jobs[job_id] = spec
     return list(jobs.values())
-
-
-def emit_workload(jobs: Sequence[JobSpec]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(WORKLOAD_COLUMNS)
-    writer.writerows(jobs)
-    return out.getvalue()
 
 
 def parse_workload_file(path: str | Path) -> list[JobSpec]:

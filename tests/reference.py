@@ -8,7 +8,9 @@ code with the production packer.
 The free-list oracle is the straightforward MaxRects bookkeeping: split
 every free rectangle the placement overlaps, then prune the whole list
 to its maximal members.  The production packer prunes only the new
-strips; both must hold the same set of free rectangles.
+strips; both must hold the same set of free rectangles.  Its edge,
+containment and overlap tests on a plain ``FreeRect`` record are its
+own helpers below, shared with the free-list tests.
 
 The stall-window references are the linear definitions of the
 simulator's virtual-time arithmetic: each walks every window of a site
@@ -83,6 +85,29 @@ class OracleBin:
         return x, y
 
 
+def right(fr: FreeRect) -> int:
+    return fr.x + fr.width
+
+
+def top(fr: FreeRect) -> int:
+    return fr.y + fr.height
+
+
+def contains(outer: FreeRect, inner: FreeRect) -> bool:
+    """True if ``inner`` lies inside ``outer``, edges included."""
+    return (
+        inner.x >= outer.x
+        and inner.y >= outer.y
+        and right(inner) <= right(outer)
+        and top(inner) <= top(outer)
+    )
+
+
+def overlaps(placed: Placement, fr: FreeRect) -> bool:
+    """True if a placement and a free rectangle share interior area."""
+    return fr.x < placed.right and placed.x < right(fr) and fr.y < placed.top and placed.y < top(fr)
+
+
 class FreeListOracle:
     """MaxRects bin with a global prune after every split."""
 
@@ -111,19 +136,19 @@ class FreeListOracle:
     def _split_free(self, placed: Placement) -> None:
         survivors: list[FreeRect] = []
         for fr in self.free:
-            if not placed.overlaps(fr):
+            if not overlaps(placed, fr):
                 survivors.append(fr)
                 continue
             if placed.left > fr.x:
                 survivors.append(FreeRect(fr.x, fr.y, placed.left - fr.x, fr.height))
-            if placed.right < fr.right:
+            if placed.right < right(fr):
                 survivors.append(
-                    FreeRect(placed.right, fr.y, fr.right - placed.right, fr.height)
+                    FreeRect(placed.right, fr.y, right(fr) - placed.right, fr.height)
                 )
             if placed.bottom > fr.y:
                 survivors.append(FreeRect(fr.x, fr.y, fr.width, placed.bottom - fr.y))
-            if placed.top < fr.top:
-                survivors.append(FreeRect(fr.x, placed.top, fr.width, fr.top - placed.top))
+            if placed.top < top(fr):
+                survivors.append(FreeRect(fr.x, placed.top, fr.width, top(fr) - placed.top))
         self.free = prune_to_maximal(survivors)
 
 
@@ -133,9 +158,9 @@ def prune_to_maximal(rects: list[FreeRect]) -> list[FreeRect]:
     for fr in rects:
         if fr.width <= 0 or fr.height <= 0:
             continue
-        if any(other.contains(fr) for other in kept):
+        if any(contains(other, fr) for other in kept):
             continue
-        kept = [other for other in kept if not fr.contains(other)]
+        kept = [other for other in kept if not contains(fr, other)]
         kept.append(fr)
     return kept
 

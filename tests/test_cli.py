@@ -90,6 +90,18 @@ class TestPack:
         assert rc == 2
         assert "unknown site" in capsys.readouterr().err
 
+    def test_empty_workload_exits_2(self, inputs, tmp_path, capsys):
+        # There is nothing to pack; ``simulate`` still accepts the same file.
+        sites, _ = inputs
+        empty = tmp_path / "empty.csv"
+        empty.write_text(WORKLOAD.splitlines()[0] + "\n")
+        out_dir = tmp_path / "pack-empty"
+        rc = main(["pack", "--sites", str(sites), "--workload", str(empty),
+                   "--out", str(out_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: workload declares no jobs\n"
+        assert not out_dir.exists()
+
 
 class TestSimulate:
     def test_writes_all_outputs(self, inputs, tmp_path, capsys):

@@ -11,7 +11,7 @@ from hpcbundle.packing import (
     waste_fraction,
 )
 
-from reference import OracleBin
+from reference import OracleBin, contains, overlaps
 
 
 def place_all(bin_, rects):
@@ -151,7 +151,7 @@ class TestFreeList:
         bin_ = PackingBin(6, 100)
         bin_.insert(ResourceRect(2, 30))
         for fr in bin_.free_list:
-            assert not any(p.overlaps(fr) for p in bin_.placements)
+            assert not any(overlaps(p, fr) for p in bin_.placements)
         # Both maximal residuals must be present: right band and top band.
         assert FreeRect(2, 0, 4, 100) in bin_.free_list
         assert FreeRect(0, 30, 6, 70) in bin_.free_list
@@ -164,7 +164,7 @@ class TestFreeList:
             for i, a in enumerate(free):
                 for j, b in enumerate(free):
                     if i != j:
-                        assert not a.contains(b)
+                        assert not contains(a, b)
 
 
 class TestRender:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hpcbundle.packing import PackingBin, ResourceRect
 
-from reference import FreeListOracle, OracleBin
+from reference import FreeListOracle, OracleBin, contains, overlaps, right, top
 
 bins = st.tuples(st.integers(1, 8), st.integers(1, 60))
 rect_lists = st.lists(
@@ -58,11 +58,11 @@ def test_free_list_soundness_after_every_insert(bin_dims, rects):
         free = bin_.free_list
         for fr in free:
             assert fr.x >= 0 and fr.y >= 0
-            assert fr.right <= width and fr.top <= height
-            assert not any(p.overlaps(fr) for p in bin_.placements)
+            assert right(fr) <= width and top(fr) <= height
+            assert not any(overlaps(p, fr) for p in bin_.placements)
         for i, a in enumerate(free):
             for j, b in enumerate(free):
-                assert i == j or not a.contains(b)
+                assert i == j or not contains(a, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -81,7 +81,7 @@ def test_free_list_covers_complement(bin_dims, rects):
                 for p in bin_.placements
             )
             in_free = any(
-                fr.x <= x < fr.right and fr.y <= y < fr.top
+                fr.x <= x < right(fr) and fr.y <= y < top(fr)
                 for fr in bin_.free_list
             )
             assert in_placement != in_free

@@ -1,14 +1,18 @@
 """Sites-file and workload-CSV parsing, emission, and error reporting."""
 
+import csv
+import io
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from hpcbundle.bundling import BundlePolicy, ExecutionSite
+from hpcbundle.bundling import BundlePolicy, ExecutionSite, SiteRegistry
 from hpcbundle.dispatcher import JobSpec
 from hpcbundle.simcluster import (
     GLOBAL_STALL,
     NODE_FAULT,
+    SIM_MINIMUMS,
     STEP_OVERRUN,
     FaultSpec,
     QueueWait,
@@ -19,8 +23,6 @@ from hpcbundle.workload import (
     WORKLOAD_COLUMNS,
     ParseError,
     SiteFileContents,
-    emit_sites,
-    emit_workload,
     parse_policy,
     parse_sites_file,
     parse_sites_text,
@@ -65,6 +67,44 @@ job_id,test_id,model_id,cores,requested_minutes,true_runtime_minutes,arrival_min
 J1,TE_000111_000,MO_222333_000,4,120,95,0
 J2,TE_000111_001,MO_222333_000,16,30,400,15
 """
+
+# The round trips' emitters: each writes text whose re-parse is identical.
+_FAULT_VALUE = {
+    STEP_OVERRUN: lambda fault: f"multiplier = {fault.multiplier}",
+    NODE_FAULT: lambda fault: f"times = {fault.times}",
+    GLOBAL_STALL: lambda fault: "window = {} {}".format(*fault.window),
+}
+
+
+def emit_sites(contents: SiteFileContents) -> str:
+    lines: list[str] = []
+    sim = [key for key in SIM_MINIMUMS if getattr(contents, key) is not None]
+    if sim:
+        lines += ["[sim]", *(f"{key} = {getattr(contents, key)}" for key in sim), ""]
+    for site in contents.sites:
+        lines.append(f"[site {site.site_id}]")
+        lines.append(f"cores_per_node = {site.cores_per_node}")
+        lines.append(f"max_walltime_minutes = {site.max_walltime_minutes}")
+        lines.append(f"active = {'true' if site.active else 'false'}")
+        wait = contents.queue_waits.get(site.site_id)
+        if wait is not None:
+            if wait.kind == "fixed":
+                lines.append(f"queue_wait = fixed {wait.low}")
+            else:
+                lines.append(f"queue_wait = uniform {wait.low} {wait.high}")
+        lines.append("")
+    for fault in contents.faults:
+        lines += ["[fault]", f"kind = {fault.kind}", f"target = {fault.target}",
+                  _FAULT_VALUE[fault.kind](fault), ""]
+    return "\n".join(lines)
+
+
+def emit_workload(jobs) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(WORKLOAD_COLUMNS)
+    writer.writerows(jobs)
+    return out.getvalue()
 
 
 class TestSitesParsing:
@@ -180,6 +220,20 @@ class TestSitesParsing:
         )
         with pytest.raises(ParseError, match="^line 4: duplicate site id 's'$"):
             parse_sites_text(text)
+
+    @pytest.mark.parametrize("text, lineno, library", [
+        ("[site s]\ncores_per_node = 4\nmax_walltime_minutes = 9\n[site s]\n", 4,
+         lambda: SiteRegistry([ExecutionSite("s", 4, 9), ExecutionSite("s", 8, 9)],
+                              BundlePolicy(), None)),
+        ("[fault]\nkind = MONSOON\ntarget = s\n", 2, lambda: FaultSpec("MONSOON", "s")),
+    ], ids=["duplicate_site_id", "unknown_fault_kind"])
+    def test_refusal_in_the_words_of_the_library(self, text, lineno, library):
+        # The parser adds only the line to the refusal of the code that owns the rule.
+        with pytest.raises(ValueError) as refused:
+            library()
+        with pytest.raises(ParseError) as parse_error:
+            parse_sites_text(text)
+        assert str(parse_error.value) == f"line {lineno}: {refused.value}"
 
     def test_distinct_faults_and_touching_windows_accepted(self):
         # One fault of each kind per target, and stall windows that only
@@ -456,3 +510,49 @@ class TestEmitSites:
         )
         again = parse_sites_text(emit_sites(contents))
         assert again == contents
+
+
+# Site ids and fault targets: no whitespace, '#', '[' or ']'.
+_NAMES = st.text("abAB09_.-", min_size=1, max_size=4)
+
+
+@st.composite
+def site_file_contents(draw):
+    """Valid contents: sites of random sizes, active flags and waits, [sim]
+    settings given or omitted, and at most one fault of each kind per job,
+    with the stall windows on a site touching but never overlapping."""
+    ids = draw(st.lists(_NAMES, max_size=4, unique=True))
+    sites = [ExecutionSite(site_id, draw(st.integers(1, 256)), draw(st.integers(1, 10_000)),
+                           draw(st.booleans())) for site_id in ids]
+    queue_waits = {}
+    for site_id in ids:
+        kind = draw(st.sampled_from([None, "fixed", "uniform"]))
+        if kind == "fixed":
+            queue_waits[site_id] = QueueWait("fixed", draw(st.integers(0, 500)))
+        elif kind == "uniform":
+            low = draw(st.integers(0, 500))
+            queue_waits[site_id] = QueueWait("uniform", low, draw(st.integers(low, 1000)))
+    faults = []
+    for job_id in draw(st.lists(_NAMES, max_size=4, unique=True)):
+        if draw(st.booleans()):
+            faults.append(FaultSpec(STEP_OVERRUN, job_id, multiplier=draw(st.integers(1, 10))))
+        if draw(st.booleans()):
+            faults.append(FaultSpec(NODE_FAULT, job_id, times=draw(st.integers(1, 5))))
+    for site_id in ids:  # windows between consecutive edges: neighbours touch
+        edges = sorted(draw(st.lists(st.integers(0, 2000), max_size=5, unique=True)))
+        for window in zip(edges, edges[1:]):
+            if draw(st.booleans()):
+                faults.append(FaultSpec(GLOBAL_STALL, site_id, window=window))
+    return SiteFileContents(
+        sites=sites,
+        queue_waits=queue_waits,
+        grace_minutes=draw(st.none() | st.integers(0, 60)),
+        tick_minutes=draw(st.none() | st.integers(1, 60)),
+        faults=draw(st.permutations(faults)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(site_file_contents())
+def test_sites_round_trip_is_identity(contents):
+    assert parse_sites_text(emit_sites(contents)) == contents
