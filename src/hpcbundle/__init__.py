@@ -35,6 +35,7 @@ from .simcluster import (
     SimConfig,
     SimReport,
     Simulation,
+    Workload,
     derive_rng,
     schedule_steps,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "SiteRegistry",
     "Simulation",
     "StepGraph",
+    "Workload",
     "beneath_relation",
     "bounding_request",
     "derive_rng",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Protocol
+from typing import Container, Iterable, Mapping, Protocol
 
 from .packing import PackingBin, Placement, ResourceRect, bounding_request, waste_fraction
 
@@ -117,6 +117,13 @@ class Bundle:
                               (self.request_cores, self.request_minutes))
 
 
+def site_id_error(site_id: str, known: Container[str]) -> str | None:
+    """Why ``SiteRegistry`` refuses a site named ``site_id``, or None: an id in ``known``."""
+    if site_id in known:
+        return f"duplicate site id {site_id!r}"
+    return None
+
+
 class SiteRegistry:
     """Owns the execution sites, their queues, and bundle formation.
 
@@ -132,8 +139,9 @@ class SiteRegistry:
                  rng: random.Random):
         self.sites: dict[str, ExecutionSite] = {}
         for site in sites:
-            if site.site_id in self.sites:
-                raise ValueError(f"duplicate site id {site.site_id!r}")
+            error = site_id_error(site.site_id, self.sites)
+            if error is not None:
+                raise ValueError(error)
             self.sites[site.site_id] = site
         self.policy = policy
         self.rng = rng

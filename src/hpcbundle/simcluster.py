@@ -27,7 +27,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Container, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .bundling import Bundle, BundlePolicy, ExecutionSite, SiteRegistry
 from .dispatcher import (
@@ -168,6 +168,23 @@ def run_job_error(spec: JobSpec, known: Container[str]) -> str | None:
     return error
 
 
+class Workload(tuple):
+    """An immutable job list a run accepts: every spec passed ``run_job_error``
+    in order, so no id repeats.  ``Simulation`` takes one as already checked."""
+
+    __slots__ = ()
+
+    def __new__(cls, specs: Iterable[JobSpec] = ()) -> Workload:
+        specs = tuple(specs)
+        known: set[str] = set()
+        for spec in specs:
+            error = run_job_error(spec, known)
+            if error is not None:
+                raise ValueError(error)
+            known.add(spec.job_id)
+        return tuple.__new__(cls, specs)
+
+
 # The settings of a ``[sim]`` section, each with the least value it takes.
 SIM_MINIMUMS = {"grace_minutes": 0, "tick_minutes": 1}
 
@@ -256,6 +273,8 @@ class SimCluster:
     """Backend implementation: submissions become scheduled virtual events."""
 
     def __init__(self, sim: "Simulation", config: SimConfig, runtimes: dict[str, int]):
+        """``runtimes`` maps every job to its true minutes; the cluster takes
+        the dict as its own and applies the overruns in place."""
         self.sim = sim
         self.config = config
         self.runs: dict[str, _BundleRun] = {}
@@ -263,12 +282,12 @@ class SimCluster:
         # One queue-wait model and its own random stream per configured site.
         self._waits = {site_id: (wait, derive_rng(config.seed, f"wait:{site_id}"))
                        for site_id, wait in config.queue_waits.items()}
-        self._true = true = dict(runtimes)  # every job's true minutes, overruns applied
+        self._true = runtimes  # every job's true minutes, overruns applied
         self._sentinel_suppression: dict[str, int] = {}
         self.stall_windows: dict[str, list[tuple[int, int]]] = {}
         for fault in config.faults:
             if fault.kind == STEP_OVERRUN:
-                true[fault.target] = runtimes[fault.target] * fault.multiplier
+                runtimes[fault.target] *= fault.multiplier  # at most one per job
             elif fault.kind == NODE_FAULT:
                 self._sentinel_suppression[fault.target] = fault.times
             else:
@@ -478,13 +497,15 @@ class Simulation:
     def __init__(
         self,
         sites: list[ExecutionSite],
-        workload: list[JobSpec],
+        workload: Sequence[JobSpec],
         policy: BundlePolicy,
         config: SimConfig,
         out_dir: str | Path | None = None,
     ):
         self.config = config
-        self.workload = list(workload)
+        # A ``Workload`` is checked already; any other sequence is checked here,
+        # so every refusal comes before any bundle directory is written.
+        self.workload = workload if isinstance(workload, Workload) else Workload(workload)
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.now = 0
         # The event log: lines pending a join, and the chunks joined so far.
@@ -492,13 +513,7 @@ class Simulation:
         self._chunks: list[str] = []
         self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
-        # Every refusal comes before any bundle directory is written.
-        runtimes: dict[str, int] = {}
-        for spec in self.workload:
-            error = run_job_error(spec, runtimes)
-            if error is not None:
-                raise ValueError(error)
-            runtimes[spec.job_id] = spec.true_runtime_minutes
+        runtimes = {spec.job_id: spec.true_runtime_minutes for spec in self.workload}
         refused = fault_error(config.faults, {s.site_id for s in sites}, runtimes)
         if refused is not None:
             raise ValueError(refused[1])

@@ -5,11 +5,10 @@ README) holding execution-site definitions plus optional simulation
 settings and fault injections.  The workload is plain CSV.  The parsers
 own only the syntax: sections, keys, field counts and integers.  Every
 rule on a value belongs to the library code that reads it
-(``simcluster.run_job_error`` and ``fault_error``, the constructors of
-``ExecutionSite``, ``QueueWait``, ``FaultSpec`` and ``SimConfig``), and a
-parser raises its message as a ``ParseError`` with the line in front.
-Emitters produce text whose re-parse is identical, so parse-emit round
-trips are stable.
+(``simcluster.run_job_error`` and ``fault_error``,
+``bundling.site_id_error``, the constructors of ``ExecutionSite``,
+``QueueWait``, ``FaultSpec`` and ``SimConfig``), and a parser raises its
+message as a ``ParseError`` with the line in front.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from .bundling import BundlePolicy, ExecutionSite
+from .bundling import BundlePolicy, ExecutionSite, site_id_error
 from .dispatcher import JobSpec
 from .simcluster import (
     GLOBAL_STALL,
@@ -30,6 +29,7 @@ from .simcluster import (
     FaultSpec,
     QueueWait,
     SimConfig,
+    Workload,
     fault_error,
     run_job_error,
 )
@@ -145,15 +145,17 @@ def parse_sites_text(text: str) -> SiteFileContents:
                 site_id = header[len("site"):].strip()
                 if not site_id:
                     _fail(lineno, "site section needs an id: [site <id>]")
-                if site_id in site_ids:
-                    _fail(lineno, f"duplicate site id {site_id!r}")
+                error = site_id_error(site_id, site_ids)
+                if error is not None:
+                    _fail(lineno, error)
                 site_ids.add(site_id)
             else:
                 _fail(lineno, f"unknown section {header!r}")
             continue
-        if "=" not in line:
+        key, equals, value = line.partition("=")
+        if not equals:
             _fail(lineno, f"expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+        key, value = key.strip(), value.strip()
         if key in kv:
             _fail(lineno, f"duplicate key {key!r}")
         kv[key] = (value, lineno)
@@ -210,7 +212,7 @@ def _build_fault(kv: dict[str, tuple[str, int]], lineno: int) -> FaultSpec:
         parts = value.split()
         if len(parts) != 2:
             _fail(value_line, f"expected 'window = START END', got {value!r}")
-        parsed = tuple(_parse_int(part, value_line) for part in parts)
+        parsed = (_parse_int(parts[0], value_line), _parse_int(parts[1], value_line))
     else:
         parsed = _parse_int(value, value_line)
     return _build(lineno, FaultSpec, kind, target, **{own: parsed})
@@ -220,7 +222,9 @@ def parse_sites_file(path: str | Path) -> SiteFileContents:
     return parse_sites_text(Path(path).read_text(encoding="utf-8-sig"))
 
 
-def parse_workload_text(text: str) -> list[JobSpec]:
+def parse_workload_text(text: str) -> Workload:
+    """The workload CSV as a ``Workload``: each row passes ``run_job_error`` as it
+    is read, so the result is checked once, in row order."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != WORKLOAD_COLUMNS:
@@ -229,6 +233,7 @@ def parse_workload_text(text: str) -> list[JobSpec]:
             f"got {','.join(header or ['<empty>'])}"
         )
     jobs: dict[str, JobSpec] = {}  # by id, in row order
+    new = tuple.__new__  # skips the named tuples' Python-level ``__new__``
     for row in reader:  # an error names ``reader.line_num``, the row's last line
         if not row:
             continue  # a blank line
@@ -236,18 +241,18 @@ def parse_workload_text(text: str) -> list[JobSpec]:
             _fail(reader.line_num, "wrong number of fields")
         job_id, test_id, model_id, cores, requested, true_runtime, arrival = row
         try:
-            spec = JobSpec(job_id, test_id, model_id,
-                           int(cores), int(requested), int(true_runtime), int(arrival))
+            spec = new(JobSpec, (job_id, test_id, model_id,
+                                 int(cores), int(requested), int(true_runtime), int(arrival)))
         except ValueError:  # name the first bad column
             spec = JobSpec(*row[:3], *(_parse_int(v, reader.line_num) for v in row[3:]))
         error = run_job_error(spec, jobs)
         if error is not None:
             _fail(reader.line_num, error)
         jobs[job_id] = spec
-    return list(jobs.values())
+    return new(Workload, jobs.values())  # every row is checked already
 
 
-def parse_workload_file(path: str | Path) -> list[JobSpec]:
+def parse_workload_file(path: str | Path) -> Workload:
     return parse_workload_text(Path(path).read_text(encoding="utf-8-sig"))
 
 

@@ -20,10 +20,12 @@ from hpcbundle.simcluster import (
     SimConfig,
     Simulation,
     SimCluster,
+    Workload,
     derive_rng,
     schedule_steps,
 )
 from hpcbundle.dispatcher import AccountingRecord, BundleArtifacts
+from hpcbundle.metrics import jobs_csv_text, metrics_csv_text
 from hpcbundle.stepgraph import StepGraph
 from hpcbundle.workload import parse_policy, parse_sites_text, parse_workload_text
 
@@ -175,6 +177,72 @@ class TestFaultValidation:
         report = sim([job("a", req=30, true=10)], faults=faults).run()
         assert report.backend.stall_windows == {"S1": [(0, 10), (10, 20)]}
         assert report.dispatcher.all_terminal()
+
+
+def faults_io_inputs(n_jobs: int = 300, seed: int = 1):
+    """A small ``faults_io`` benchmark scenario: sites, faults and a workload."""
+    inputs = load_bench_module("workloads").faults_io(seed, n_jobs=n_jobs)
+    return parse_sites_text(inputs.sites_text), inputs.workload_text, inputs.policy_text
+
+
+class TestWorkload:
+    """A parsed workload is checked once; ``Simulation`` keeps it as given."""
+
+    def test_an_immutable_tuple_of_specs(self):
+        workload = Workload([job("a"), job("b")])
+        assert isinstance(workload, tuple) and workload == (job("a"), job("b"))
+        assert Workload() == ()
+        with pytest.raises(AttributeError):
+            workload.note = "x"
+
+    def test_simulation_keeps_a_workload_and_checks_no_job_again(self, monkeypatch):
+        contents, text, _ = faults_io_inputs(n_jobs=50)
+        parsed = parse_workload_text(text)
+        assert type(parsed) is Workload
+
+        def refuse(spec, known):
+            raise AssertionError(f"{spec.job_id} checked twice")
+
+        monkeypatch.setattr(simcluster, "run_job_error", refuse)
+        simulation = Simulation(contents.sites, parsed, BundlePolicy(),
+                                contents.build_config(seed=1))
+        assert simulation.workload is parsed
+
+    def test_a_plain_list_is_checked_into_a_workload(self):
+        simulation = sim([job("a"), job("b")])
+        assert type(simulation.workload) is Workload
+        assert simulation.workload == (job("a"), job("b"))
+
+    def test_parsed_and_plain_list_give_the_same_bytes(self):
+        # faults_io carries STEP_OVERRUN faults, which the cluster applies to
+        # the runtimes it builds from either form.
+        contents, text, policy_text = faults_io_inputs()
+        parsed = parse_workload_text(text)
+        outputs = []
+        for workload in (parsed, list(parsed)):
+            report = Simulation(contents.sites, workload, parse_policy(policy_text),
+                                contents.build_config(seed=1)).run()
+            outputs.append((report.event_log_text, metrics_csv_text(report.dispatcher),
+                            jobs_csv_text(report.dispatcher)))
+        assert any(f.kind == STEP_OVERRUN for f in contents.faults)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("extra, message", [
+        pytest.param(job("j00000"), "duplicate job_id 'j00000'", id="repeated"),
+        pytest.param(job("x", cores=0), "job 'x': cores and minutes must be positive",
+                     id="no-cores"),
+        pytest.param(job("x", true=0), "job 'x': true runtime must be positive",
+                     id="no-true-runtime"),
+        pytest.param(job("../x"), "job_id '../x' may use only letters", id="bad-id"),
+    ])
+    def test_a_list_grown_from_a_parsed_workload_is_checked(self, tmp_path, extra, message):
+        contents, text, policy_text = faults_io_inputs(n_jobs=20)
+        jobs = [*parse_workload_text(text), extra]
+        with pytest.raises(ValueError) as refused:
+            Simulation(contents.sites, jobs, parse_policy(policy_text),
+                       contents.build_config(seed=1), out_dir=tmp_path / "out")
+        assert str(refused.value).startswith(message)
+        assert not (tmp_path / "out").exists()
 
 
 class TestScheduleSteps:

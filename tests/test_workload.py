@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from hpcbundle.bundling import BundlePolicy, ExecutionSite, SiteRegistry
+from hpcbundle.bundling import BundlePolicy, ExecutionSite, SiteRegistry, site_id_error
 from hpcbundle.dispatcher import JobSpec
 from hpcbundle.simcluster import (
     GLOBAL_STALL,
@@ -18,6 +18,7 @@ from hpcbundle.simcluster import (
     QueueWait,
     SimConfig,
     Simulation,
+    Workload,
 )
 from hpcbundle.workload import (
     WORKLOAD_COLUMNS,
@@ -105,6 +106,10 @@ def emit_workload(jobs) -> str:
     writer.writerow(WORKLOAD_COLUMNS)
     writer.writerows(jobs)
     return out.getvalue()
+
+
+def _raise(message):
+    raise ValueError(message)
 
 
 class TestSitesParsing:
@@ -220,13 +225,18 @@ class TestSitesParsing:
         )
         with pytest.raises(ParseError, match="^line 4: duplicate site id 's'$"):
             parse_sites_text(text)
+        # The rule's own function gives the words the parser puts after the line.
+        assert site_id_error("s", {"s"}) == "duplicate site id 's'"
+        assert site_id_error("t", {"s"}) is None
 
     @pytest.mark.parametrize("text, lineno, library", [
         ("[site s]\ncores_per_node = 4\nmax_walltime_minutes = 9\n[site s]\n", 4,
          lambda: SiteRegistry([ExecutionSite("s", 4, 9), ExecutionSite("s", 8, 9)],
                               BundlePolicy(), None)),
+        ("[site s]\ncores_per_node = 4\nmax_walltime_minutes = 9\n[site s]\n", 4,
+         lambda: _raise(site_id_error("s", ["s"]))),
         ("[fault]\nkind = MONSOON\ntarget = s\n", 2, lambda: FaultSpec("MONSOON", "s")),
-    ], ids=["duplicate_site_id", "unknown_fault_kind"])
+    ], ids=["duplicate_site_id", "site_id_error", "unknown_fault_kind"])
     def test_refusal_in_the_words_of_the_library(self, text, lineno, library):
         # The parser adds only the line to the refusal of the code that owns the rule.
         with pytest.raises(ValueError) as refused:
@@ -311,7 +321,7 @@ class TestWorkloadParsing:
         assert parse_workload_file(path) == parse_workload_text(WORKLOAD_TEXT)
 
     def test_header_only_is_empty_workload(self):
-        assert parse_workload_text(WORKLOAD_TEXT.splitlines()[0] + "\n") == []
+        assert list(parse_workload_text(WORKLOAD_TEXT.splitlines()[0] + "\n")) == []
 
     @pytest.mark.parametrize(
         "row, lineno, fragment",
@@ -415,7 +425,7 @@ def workload_texts(draw):
 
 def _outcome(parse, text):
     try:
-        return parse(text)
+        return list(parse(text))
     except ParseError as exc:
         return str(exc)
 
@@ -458,8 +468,11 @@ def test_parser_refuses_a_job_in_the_words_of_the_simulation(case):
     jobs, lineno = case
     with pytest.raises(ValueError) as refused:
         Simulation([ExecutionSite("s", 8, 100)], jobs, BundlePolicy(), SimConfig())
+    with pytest.raises(ValueError) as workload_refused:
+        Workload(jobs)
     with pytest.raises(ParseError) as parse_error:
         parse_workload_text(emit_workload(jobs))
+    assert str(workload_refused.value) == str(refused.value)
     assert str(parse_error.value) == f"line {lineno}: {refused.value}"
 
 
