@@ -150,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"pack": _cmd_pack, "simulate": _cmd_simulate, "report": _cmd_report}
     try:
         return handlers[args.command](args)
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -230,18 +230,15 @@ class PackingBin:
         """Wasted fraction of the bounding request."""
         return waste_fraction(self.placements)
 
-    def render(self, row_minutes: int = 5, labels: Sequence[str] | None = None) -> str:
+    def render(self, row_minutes: int = 5, *, labels: Sequence[str]) -> str:
         """ASCII rendering of the bin, one column per core, origin at bottom-left.
 
         Each output row covers ``row_minutes`` minutes and shows the
         placement occupying the row's first minute, ``.`` where idle.
-        ``labels`` supplies one display character per placement; defaults
-        to A, B, C, ...
+        ``labels`` supplies one display character per placement.
         """
         if row_minutes < 1:
             raise ValueError("row_minutes must be >= 1")
-        if labels is None:
-            labels = [_default_label(i) for i in range(len(self.placements))]
         top = self.bounding()[1] if self.placements else self.height
         rows: list[str] = []
         for y0 in range(0, top, row_minutes):
@@ -257,8 +254,3 @@ class PackingBin:
         rows.reverse()
         footer = "      +" + "-" * self.width + "+"
         return "\n".join(rows + [footer])
-
-
-def _default_label(index: int) -> str:
-    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
-    return alphabet[index] if index < len(alphabet) else "#"

@@ -14,9 +14,9 @@ rule, else COMPLETED, which a NODE_FAULT fails as the step ends); one writer,
 Every heap entry carries its own handler: ``Simulation.push(time,
 handler, *args)`` schedules the call ``handler(*args, time)`` at virtual
 minute ``time``.  Entries due at the same minute run in push order.
-Handlers are bound methods (``Simulation.on_arrival``, ``on_tick``,
-``on_notify`` and the ``SimCluster.on_*`` cluster events), looked up on
-the instance when the entry is pushed.
+Handlers are bound methods (``Simulation.on_arrival`` and ``on_tick``,
+and the ``SimCluster.on_*`` cluster events), looked up on the instance
+when the entry is pushed.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .dispatcher import (
     EVENT_QUEUED,
     EVENT_RUNNING,
     AccountingRecord,
-    BackendRejection,
     BundleArtifacts,
     CollectingSink,
     Dispatcher,
@@ -243,10 +242,9 @@ class _BundleRun:
     holds each concluded step's accounting row, its one outcome record.
     Finalization renders the artifacts from the rows and releases the
     working state: ``schedule``, ``rows`` and ``graph`` become ``None``.
-    The artifacts go to the dispatcher once, with
-    the delivered FINISHED notification or from ``SimCluster.cancel``, and
-    then become ``None`` here too.  A finished run keeps ``handle``,
-    ``bundle``, ``site_id``, ``wait``, ``started_at`` and ``finalized_at``.
+    The artifacts go to the dispatcher once, with the delivered FINISHED notification or
+    from ``SimCluster.cancel``, and then become ``None`` here too.  A finished run keeps
+    ``handle``, ``bundle``, ``site_id``, ``wait``, ``started_at`` and ``finalized_at``.
     """
 
     __slots__ = ("handle", "bundle", "graph", "site_id", "wait", "started_at",
@@ -270,7 +268,10 @@ class _BundleRun:
 
 
 class SimCluster:
-    """Backend implementation: submissions become scheduled virtual events."""
+    """Backend implementation: submissions become scheduled virtual events, and
+    ``on_notify`` sends each notification no stall swallows to ``deliver``."""
+
+    deliver: Callable[[str, str, int, BundleArtifacts | None], None]  # set by the owner
 
     def __init__(self, sim: "Simulation", config: SimConfig, runtimes: dict[str, int]):
         """``runtimes`` maps every job to its true minutes; the cluster takes
@@ -345,35 +346,37 @@ class SimCluster:
     # -- backend contract ------------------------------------------------
 
     def submit(self, bundle: Bundle, graph: StepGraph) -> str:
+        # Never refused: the registry packs every bundle into its own site's bin.
         now = self.sim.now
-        site = self.sim.registry.site(bundle.site_id)
-        if (bundle.request_cores > site.cores_per_node
-                or bundle.request_minutes > site.max_walltime_minutes):
-            raise BackendRejection(
-                f"request {bundle.request_cores}c x {bundle.request_minutes}m "
-                f"exceeds site {site.site_id}"
-            )
         self._handle_seq += 1
         handle = f"sim-{self._handle_seq:05d}"
-        model, rng = self._waits.get(site.site_id, (_NO_WAIT, None))
+        model, rng = self._waits.get(bundle.site_id, (_NO_WAIT, None))
         wait = model.sample(rng)
-        run = _BundleRun(handle, bundle, graph, wait)
-        self.runs[handle] = run
-        self.sim.push(now, self.sim.on_notify, handle, EVENT_ACCEPTED)
-        self.sim.push(now, self.sim.on_notify, handle, EVENT_QUEUED)
-        self.sim.push(self.advance(site.site_id, now, wait), self.on_bundle_start, handle)
+        self.runs[handle] = _BundleRun(handle, bundle, graph, wait)
+        self.sim.push(now, self.on_notify, handle, EVENT_ACCEPTED)
+        self.sim.push(now, self.on_notify, handle, EVENT_QUEUED)
+        self.sim.push(self.advance(bundle.site_id, now, wait), self.on_bundle_start, handle)
         return handle
 
-    def cancel(self, handle: str) -> BundleArtifacts | None:
-        run = self.runs.get(handle)
-        if run is None:
-            return None
+    def cancel(self, handle: str) -> BundleArtifacts:
+        run = self.runs[handle]  # the dispatcher cancels only handles it was given
         if not run.finalized:
             self._finalize(run, self.sim.now, killed=True, notify=False)
         artifacts, run.artifacts = run.artifacts, None
         return artifacts
 
     # -- event handlers --------------------------------------------------
+
+    def on_notify(self, handle: str, event_kind: str, now: int) -> None:
+        """Deliver a notification to ``deliver`` unless its site is stalled."""
+        run = self.runs[handle]
+        if self.suppressed(run.site_id, now):
+            self.sim.record(now, "SUPPRESSED", f"{run.bundle.bundle_id} {event_kind}")
+            return
+        artifacts = None
+        if event_kind == EVENT_FINISHED:  # handed over once; a later cancel finds none
+            artifacts, run.artifacts = run.artifacts, None
+        self.deliver(handle, event_kind, now, artifacts)
 
     def on_bundle_start(self, handle: str, now: int) -> None:
         run = self.runs[handle]
@@ -382,7 +385,7 @@ class SimCluster:
         run.started_at = now
         self.sim.record(now, EV_BUNDLE_START,
                         f"{run.bundle.bundle_id} on {run.site_id} after {run.wait}m queue wait")
-        self.sim.push(now, self.sim.on_notify, handle, EVENT_RUNNING)
+        self.sim.push(now, self.on_notify, handle, EVENT_RUNNING)
         grace = self.config.grace_minutes
         true = self._true
         # The kill rule cuts a step at its allotment plus the grace period.
@@ -457,7 +460,7 @@ class SimCluster:
         self.sim.materialize(run)
         run.schedule = run.rows = run.graph = None
         if notify:
-            self.sim.push(now, self.sim.on_notify, run.handle, EVENT_FINISHED)
+            self.sim.push(now, self.on_notify, run.handle, EVENT_FINISHED)
 
 
 @dataclass
@@ -522,6 +525,7 @@ class Simulation:
         self.backend = SimCluster(self, config, runtimes)
         self.dispatcher = Dispatcher(self.registry, self.backend, self.sink,
                                      recorder=self.record)
+        self.backend.deliver = self.dispatcher.on_event
 
     # -- event queue -----------------------------------------------------
 
@@ -598,14 +602,3 @@ class Simulation:
         self.dispatcher.flush(now)
         if self._arrivals_remaining or not self.dispatcher.all_terminal():
             self.push(now + self.config.tick_minutes, self.on_tick)
-
-    def on_notify(self, handle: str, event_kind: str, now: int) -> None:
-        """Deliver a backend notification unless its site is stalled."""
-        run = self.backend.runs[handle]
-        if self.backend.suppressed(run.site_id, now):
-            self.record(now, "SUPPRESSED", f"{run.bundle.bundle_id} {event_kind}")
-            return
-        artifacts = None
-        if event_kind == EVENT_FINISHED:  # handed over once; a later cancel finds none
-            artifacts, run.artifacts = run.artifacts, None
-        self.dispatcher.on_event(handle, event_kind, now, artifacts)

@@ -218,8 +218,17 @@ def _build_fault(kv: dict[str, tuple[str, int]], lineno: int) -> FaultSpec:
     return _build(lineno, FaultSpec, kind, target, **{own: parsed})
 
 
+def _read_text(path: str | Path) -> str:
+    """A UTF-8 file's text without a leading byte-order mark; a byte that is not
+    UTF-8 is refused with its line, one plus the newlines before it."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        _fail(exc.object.count(b"\n", 0, exc.start) + 1, str(exc))
+
+
 def parse_sites_file(path: str | Path) -> SiteFileContents:
-    return parse_sites_text(Path(path).read_text(encoding="utf-8-sig"))
+    return parse_sites_text(_read_text(path))
 
 
 def parse_workload_text(text: str) -> Workload:
@@ -253,7 +262,7 @@ def parse_workload_text(text: str) -> Workload:
 
 
 def parse_workload_file(path: str | Path) -> Workload:
-    return parse_workload_text(Path(path).read_text(encoding="utf-8-sig"))
+    return parse_workload_text(_read_text(path))
 
 
 def parse_policy(text: str) -> BundlePolicy:

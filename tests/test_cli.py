@@ -271,3 +271,33 @@ class TestErrors:
         rc = main(["pack", "--sites", str(sites), "--workload", str(workload),
                    "--policy", "min_fill=2.0"])
         assert rc == 2
+
+    @pytest.mark.parametrize("which", ["sites", "workload"])
+    def test_directory_as_input_exits_2(self, inputs, tmp_path, capsys, which):
+        sites, workload = inputs
+        paths = {"sites": sites, "workload": workload, which: tmp_path}
+        out = tmp_path / "out"
+        rc = main(["simulate", "--sites", str(paths["sites"]),
+                   "--workload", str(paths["workload"]), "--out", str(out)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_directory_as_report_table_exits_2(self, tmp_path, capsys):
+        assert main(["report", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    @pytest.mark.parametrize("which", ["sites", "workload"])
+    def test_non_utf8_byte_exits_2_with_its_line(self, inputs, tmp_path, capsys, which, bom):
+        sites, workload = inputs
+        path = sites if which == "sites" else workload
+        lines = path.read_bytes().split(b"\n")
+        lines[2] += b"\xff"  # line 3
+        path.write_bytes(bom + b"\n".join(lines))
+        out = tmp_path / "out"
+        rc = main(["simulate", "--sites", str(sites), "--workload", str(workload),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "error: line 3: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+        assert not out.exists()

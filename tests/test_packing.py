@@ -171,7 +171,7 @@ class TestRender:
     def test_render_shows_labels_bottom_up(self):
         bin_ = PackingBin(6, 100)
         place_all(bin_, [(3, 40), (3, 30)])
-        grid = bin_.render(row_minutes=10)
+        grid = bin_.render(row_minutes=10, labels="AB")
         lines = grid.splitlines()
         assert lines[-1].endswith("+" + "-" * 6 + "+")
         assert "|AAABBB|" in lines[-2]  # bottom row: A beside B
@@ -179,4 +179,4 @@ class TestRender:
 
     def test_render_rejects_bad_row_height(self):
         with pytest.raises(ValueError):
-            PackingBin(6, 100).render(row_minutes=0)
+            PackingBin(6, 100).render(row_minutes=0, labels="")

@@ -7,12 +7,13 @@ such input: terminal states, one result envelope per job, an event log
 that never acts on a finished bundle or starts a step before its
 predecessors end, placements inside each bundle's request, that request
 the bounding box of the placements with their waste, each bundle's
-``STEP_END`` words tallying to its outcome counts, and a replay that
-reproduces the log byte for byte.  Three metamorphic properties
+``STEP_END`` words tallying to its outcome counts, every notification
+delivered outside its site's stall windows and swallowed inside one, and a
+replay that reproduces the log byte for byte.  Four metamorphic properties
 follow: a site that fits no job changes no output byte, a fixed queue
-wait drawn as a one-value uniform wait changes no output byte, and
-renaming the job ids in an order-preserving way only renames them in the
-outputs.
+wait drawn as a one-value uniform wait changes no output byte, renaming
+the job ids in an order-preserving way only renames them in the outputs,
+and shuffling the workload rows changes no output byte.
 Last, a whole `simulate` run writes the same bytes under any
 ``PYTHONHASHSEED``.
 """
@@ -26,6 +27,7 @@ from pathlib import Path
 from hypothesis import assume, given, settings, strategies as st
 
 import hpcbundle
+from reference import stall_suppressed
 from hpcbundle.bundling import BundlePolicy, ExecutionSite
 from hpcbundle.dispatcher import (
     ACCT_FAILED,
@@ -175,6 +177,18 @@ def check_step_ends(report) -> None:
         assert tuple(tallies[bundle.bundle_id].values()) == bundle.outcome_counts, bundle.bundle_id
 
 
+def check_notifications(report, scenario) -> None:
+    """A bundle's notification is delivered (``NOTIFY``) at a minute outside its
+    site's stall windows and swallowed (``SUPPRESSED``) at a minute inside one."""
+    stalls = {site_id: windows for site_id, *_, windows in scenario[0]}
+    site_of = {b.bundle_id: b.site_id for b in report.dispatcher.bundle_reports}
+    for line in report.log:
+        minute, kind, detail = line.split(None, 2)
+        if kind in ("NOTIFY", "SUPPRESSED"):
+            stalled = stall_suppressed(stalls[site_of[detail.split()[0]]], int(minute))
+            assert stalled == (kind == "SUPPRESSED"), line
+
+
 @settings(max_examples=150, deadline=None)
 @given(scenarios())
 def test_whole_run_properties(scenario):
@@ -195,6 +209,7 @@ def test_whole_run_properties(scenario):
     check_log(report)
     check_placements(report)
     check_step_ends(report)
+    check_notifications(report, scenario)
     assert build(scenario).run().event_log_text == report.event_log_text
 
 
@@ -252,6 +267,16 @@ def test_renaming_job_ids_in_order_only_renames_them_in_the_outputs(scenario, pr
     expected = tuple(re.sub(r"\bJ\d{2}\b", lambda m: rename(m.group()), text)
                      for text in output_texts(build(scenario).run()))
     assert output_texts(build((sites, renamed, policy, config)).run()) == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(scenarios(), st.data())
+def test_shuffling_the_workload_rows_changes_no_output_byte(scenario, data):
+    # Arrivals run in (arrival_minute, job_id) order, whatever the row order.
+    sites, jobs, policy, config = scenario
+    shuffled = data.draw(st.permutations(jobs))
+    before = output_texts(build(scenario).run())
+    assert output_texts(build((sites, shuffled, policy, config)).run()) == before
 
 
 def test_outputs_do_not_depend_on_string_hashing(tmp_path):
