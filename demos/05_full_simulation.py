@@ -38,7 +38,7 @@ def main() -> None:
     write_jobs_csv(out / "jobs.csv", report.dispatcher)
 
     print(f"{len(workload)} jobs over {len(contents.sites)} sites, "
-          f"finished at virtual minute {report.final_minute}\n")
+          f"finished at virtual minute {report.now}\n")
     print(summarize(report.dispatcher).render())
 
     print(f"\noutputs under {out}:")

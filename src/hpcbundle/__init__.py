@@ -33,7 +33,6 @@ from .simcluster import (
     FaultSpec,
     QueueWait,
     SimConfig,
-    SimReport,
     Simulation,
     Workload,
     derive_rng,
@@ -69,7 +68,6 @@ __all__ = [
     "ResourceRect",
     "ResultEnvelope",
     "SimConfig",
-    "SimReport",
     "SiteFileContents",
     "SiteRegistry",
     "Simulation",

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .dispatcher import Dispatcher, JobState
+from .workload import ParseError, read_input_text
 
 METRICS_COLUMNS = [
     "bundle_id",
@@ -174,14 +175,17 @@ def summarize(dispatcher: Dispatcher) -> Summary:
 
 
 def read_jobs_csv(path: str | Path) -> list[dict[str, str]]:
-    """Load a jobs table, insisting on the exact column schema."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != JOBS_COLUMNS:
-            raise ValueError(
-                f"{path}: expected columns {JOBS_COLUMNS}, found {reader.fieldnames}"
-            )
-        return list(reader)
+    """Load a jobs table, insisting on the exact column schema; its text is
+    decoded as ``read_input_text`` decodes every input file."""
+    try:
+        reader = csv.DictReader(io.StringIO(read_input_text(path)))
+    except ParseError as exc:  # a byte that is not UTF-8, refused with its line
+        raise ParseError(f"{path}: {exc}") from None
+    if reader.fieldnames != JOBS_COLUMNS:
+        raise ValueError(
+            f"{path}: expected columns {JOBS_COLUMNS}, found {reader.fieldnames}"
+        )
+    return list(reader)
 
 
 def aggregate(paths: Sequence[str | Path]) -> Summary:

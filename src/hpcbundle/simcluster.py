@@ -463,38 +463,13 @@ class SimCluster:
             self.sim.push(now, self.on_notify, run.handle, EVENT_FINISHED)
 
 
-@dataclass
-class SimReport:
-    """Outcome of one simulation run, with live references for inspection."""
-
-    final_minute: int
-    horizon_exhausted: bool
-    live_at_end: int
-    event_log_text: str  # one newline-terminated line per event; "\n" if none
-    dispatcher: Dispatcher
-    sink: CollectingSink
-    backend: SimCluster
-
-    @property
-    def log(self) -> Iterator[str]:
-        """The event lines without newlines, sliced lazily from the text.
-
-        Every access starts a new pass, and no list of lines is built.
-        """
-        text = self.event_log_text
-        start, end = 0, text.find("\n")
-        while end > start:  # no line is empty, so a lone newline ends the pass
-            yield text[start:end]
-            start = end + 1
-            end = text.find("\n", start)
-
-
 class Simulation:
     """Single-threaded event loop tying dispatcher and simulated cluster.
 
     Virtual time advances through a heap of (minute, sequence, handler,
     args) entries; ties resolve by insertion order, so a run is a pure
-    function of its inputs.
+    function of its inputs.  ``run()`` returns the simulation, which then
+    holds the outcome beside its ``dispatcher``, ``sink`` and ``backend``.
     """
 
     def __init__(
@@ -511,11 +486,15 @@ class Simulation:
         self.workload = workload if isinstance(workload, Workload) else Workload(workload)
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self.now = 0
+        self.horizon_exhausted = False
+        # Empty until a run ends; then one newline-terminated line per event, or "\n".
+        self.event_log_text = ""
         # The event log: lines pending a join, and the chunks joined so far.
         self._pending: list[str] = []
         self._chunks: list[str] = []
         self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
+        self._arrivals_remaining = len(self.workload)
         runtimes = {spec.job_id: spec.true_runtime_minutes for spec in self.workload}
         refused = fault_error(config.faults, {s.site_id for s in sites}, runtimes)
         if refused is not None:
@@ -558,37 +537,46 @@ class Simulation:
 
     # -- main loop -------------------------------------------------------
 
-    def run(self) -> SimReport:
+    def run(self) -> Simulation:
+        if self.event_log_text:
+            raise ValueError("this simulation has already run")
         for spec in sorted(self.workload, key=lambda s: (s.arrival_minute, s.job_id)):
             self.push(spec.arrival_minute, self.on_arrival, spec)
-        self._arrivals_remaining = len(self.workload)
         self.push(self.config.tick_minutes, self.on_tick)
-        horizon_exhausted = False
         while self._heap:
             time, _, handler, args = heapq.heappop(self._heap)
             if time > self.config.horizon_minutes:
-                horizon_exhausted = True
+                self.horizon_exhausted = True
                 break
             self.now = time
             handler(*args, time)
             if self._arrivals_remaining == 0 and self.dispatcher.all_terminal():
                 break
-        live = self.dispatcher.live_count() + self._arrivals_remaining
-        if horizon_exhausted and live:
-            self.record(self.now, "HORIZON",
-                        f"stopped at {self.config.horizon_minutes} with {live} live jobs")
+        if self.horizon_exhausted and self.live_at_end:
+            self.record(self.now, "HORIZON", f"stopped at {self.config.horizon_minutes} "
+                                             f"with {self.live_at_end} live jobs")
         self._chunks.append("".join(self._pending))
-        text = "".join(self._chunks) or "\n"
+        self.event_log_text = "".join(self._chunks) or "\n"
         self._pending, self._chunks = [], []
-        return SimReport(
-            final_minute=self.now,
-            horizon_exhausted=horizon_exhausted,
-            live_at_end=live,
-            event_log_text=text,
-            dispatcher=self.dispatcher,
-            sink=self.sink,
-            backend=self.backend,
-        )
+        return self
+
+    @property
+    def live_at_end(self) -> int:
+        """Jobs not yet terminal, arrivals still to come included: all of them before a run."""
+        return self.dispatcher.live_count() + self._arrivals_remaining
+
+    @property
+    def log(self) -> Iterator[str]:
+        """The event lines without newlines, sliced lazily from the text.
+
+        Every access starts a new pass, and no list of lines is built.
+        """
+        text = self.event_log_text
+        start, end = 0, text.find("\n")
+        while end > start:  # no line is empty, so a lone newline ends the pass
+            yield text[start:end]
+            start = end + 1
+            end = text.find("\n", start)
 
     # -- loop events -----------------------------------------------------
 

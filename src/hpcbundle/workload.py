@@ -218,7 +218,7 @@ def _build_fault(kv: dict[str, tuple[str, int]], lineno: int) -> FaultSpec:
     return _build(lineno, FaultSpec, kind, target, **{own: parsed})
 
 
-def _read_text(path: str | Path) -> str:
+def read_input_text(path: str | Path) -> str:
     """A UTF-8 file's text without a leading byte-order mark; a byte that is not
     UTF-8 is refused with its line, one plus the newlines before it."""
     try:
@@ -228,7 +228,7 @@ def _read_text(path: str | Path) -> str:
 
 
 def parse_sites_file(path: str | Path) -> SiteFileContents:
-    return parse_sites_text(_read_text(path))
+    return parse_sites_text(read_input_text(path))
 
 
 def parse_workload_text(text: str) -> Workload:
@@ -262,7 +262,7 @@ def parse_workload_text(text: str) -> Workload:
 
 
 def parse_workload_file(path: str | Path) -> Workload:
-    return parse_workload_text(_read_text(path))
+    return parse_workload_text(read_input_text(path))
 
 
 def parse_policy(text: str) -> BundlePolicy:

@@ -16,6 +16,14 @@ The stall-window references are the linear definitions of the
 simulator's virtual-time arithmetic: each walks every window of a site
 from the first.  The simulator bisects the sorted windows instead.
 
+The timeline oracle walks one bundle minute by minute: it counts the
+unfrozen minutes of its queue wait and of its run one at a time, starts
+each step once every step beneath it in the full ``beneath_relation`` has
+ended, and counts each step's elapsed minutes as they pass.  The
+simulator instead schedules steps over the reduced graph in progress
+time, maps each boundary through the stall arithmetic once, and derives
+a cancelled step's elapsed minutes from its window.
+
 The transitive-reduction oracle computes each node's descendants by
 memoised recursion; the production version walks a topological order
 with bitsets and has no recursion depth limit.
@@ -44,7 +52,7 @@ import numpy as np
 
 from hpcbundle.dispatcher import JobSpec
 from hpcbundle.packing import FreeRect, Placement, ResourceRect
-from hpcbundle.stepgraph import Relation, StepGraph
+from hpcbundle.stepgraph import Relation, StepGraph, beneath_relation
 from hpcbundle.workload import WORKLOAD_COLUMNS, ParseError
 
 _ID_FIRST = set(string.ascii_letters + string.digits + "_")
@@ -211,6 +219,60 @@ def stall_progress(windows: list[tuple[int, int]], start: int, now: int) -> int:
 def stall_suppressed(windows: list[tuple[int, int]], at: int) -> bool:
     """True while ``at`` lies inside a window."""
     return any(s <= at < e for s, e in windows)
+
+
+def bundle_timeline(members, request_minutes: int, submitted: int, wait: int,
+                    windows: list[tuple[int, int]], grace: int, true_minutes: dict[str, int],
+                    node_faulted: set[str], cancel_at: int | None = None):
+    """One bundle's ``STEP_END`` outcomes and its ``BUNDLE_END``, minute by minute.
+
+    The bundle is submitted at ``submitted`` and waits ``wait`` unfrozen
+    minutes.  A step runs for its true minutes (``true_minutes``, overruns
+    applied), cut at its allotment (its placement's height) plus ``grace`` as
+    TIMEOUT; a COMPLETED step of a job in ``node_faulted`` ends FAILED.  The
+    bundle is killed once it has run its request plus ``grace``, or at
+    ``cancel_at``; a step due at the kill minute keeps its verdict, and the
+    rest end CANCELLED with the minutes they ran.  Returns
+    ``({job_id: (minute, word, elapsed)}, (minute, "complete" | "killed"))``.
+    """
+    def frozen(t: int) -> bool:
+        return any(s <= t < e for s, e in windows)
+
+    t, waited = submitted, 0
+    while waited < wait:
+        waited += not frozen(t)
+        t += 1
+    if cancel_at is not None and cancel_at < t:  # cancelled while it waited
+        t = cancel_at
+    beneath = beneath_relation(members)
+    span: dict[str, tuple[int, int]] = {}  # job -> progress minutes [start, end)
+    words: dict[str, str] = {}
+    # A step beneath another sits lower, so bottom-edge order is a topological order.
+    for job_id, placement in sorted(members, key=lambda m: m[1].y):
+        start = max((span[k][1] for k, j in beneath if j == job_id), default=0)
+        cut = placement.rect.minutes + grace
+        minutes = min(true_minutes[job_id], cut)
+        span[job_id] = (start, start + minutes)
+        words[job_id] = ("TIMEOUT" if true_minutes[job_id] > cut
+                         else "FAILED" if job_id in node_faulted else "COMPLETED")
+    elapsed = dict.fromkeys(span, 0)
+    ends: dict[str, tuple[int, str, int]] = {}
+    progress = 0
+    while True:
+        if t == cancel_at or progress == request_minutes + grace:
+            for job_id in span:
+                ends.setdefault(job_id, (t, "CANCELLED", elapsed[job_id]))
+            return ends, (t, "killed")
+        if not frozen(t):
+            for job_id, (start, end) in span.items():
+                elapsed[job_id] += start <= progress < end
+            progress += 1
+            for job_id, (_, end) in span.items():
+                if end == progress:
+                    ends[job_id] = (t + 1, words[job_id], elapsed[job_id])
+            if len(ends) == len(span):
+                return ends, (t + 1, "complete")
+        t += 1
 
 
 def transitive_reduction(nodes, relation: Relation) -> StepGraph:

@@ -301,3 +301,19 @@ class TestErrors:
         assert rc == 2
         assert "error: line 3: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_non_utf8_byte_in_report_table_exits_2_with_its_file_and_line(
+            self, inputs, tmp_path, capsys, bom):
+        sites, workload = inputs
+        out = tmp_path / "out"
+        assert main(["simulate", "--sites", str(sites), "--workload", str(workload),
+                     "--out", str(out)]) == 0
+        table = out / "jobs.csv"
+        lines = table.read_bytes().split(b"\n")
+        lines[2] += b"\xff"  # line 3
+        table.write_bytes(bom + b"\n".join(lines))
+        capsys.readouterr()
+        assert main(["report", str(table)]) == 2
+        assert (f"error: {table}: line 3: 'utf-8' codec can't decode byte 0xff"
+                in capsys.readouterr().err)

@@ -91,6 +91,12 @@ class TestCsvTables:
         write_metrics_csv(metrics_path, report.dispatcher)
         assert metrics_path.read_text() == metrics_csv_text(report.dispatcher)
 
+    def test_read_ignores_a_byte_order_mark(self, report, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_jobs_csv(plain, report.dispatcher)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert read_jobs_csv(marked) == read_jobs_csv(plain)
+
     def test_read_rejects_wrong_schema(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("job_id,state\na,completed\n")

@@ -9,11 +9,12 @@ predecessors end, placements inside each bundle's request, that request
 the bounding box of the placements with their waste, each bundle's
 ``STEP_END`` words tallying to its outcome counts, every notification
 delivered outside its site's stall windows and swallowed inside one, and a
-replay that reproduces the log byte for byte.  Four metamorphic properties
-follow: a site that fits no job changes no output byte, a fixed queue
-wait drawn as a one-value uniform wait changes no output byte, renaming
-the job ids in an order-preserving way only renames them in the outputs,
-and shuffling the workload rows changes no output byte.
+replay that reproduces the log byte for byte.  The first bundle's step and
+bundle ends follow the minute-stepped timeline of ``reference.py``.  Four
+metamorphic properties follow: a site that fits no job changes no output
+byte, a fixed queue wait drawn as a one-value uniform wait changes no
+output byte, renaming the job ids in an order-preserving way only renames
+them in the outputs, and shuffling the workload rows changes no output byte.
 Last, a whole `simulate` run writes the same bytes under any
 ``PYTHONHASHSEED``.
 """
@@ -27,7 +28,7 @@ from pathlib import Path
 from hypothesis import assume, given, settings, strategies as st
 
 import hpcbundle
-from reference import stall_suppressed
+from reference import bundle_timeline, stall_suppressed
 from hpcbundle.bundling import BundlePolicy, ExecutionSite
 from hpcbundle.dispatcher import (
     ACCT_FAILED,
@@ -211,6 +212,39 @@ def test_whole_run_properties(scenario):
     check_step_ends(report)
     check_notifications(report, scenario)
     assert build(scenario).run().event_log_text == report.event_log_text
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios())
+def test_first_bundle_follows_the_minute_stepped_timeline(scenario):
+    """The first bundle's STEP_END minutes, words and elapsed minutes, and its
+    BUNDLE_END minute and kind, are those of ``reference.bundle_timeline``."""
+    sites, jobs, _, (_, grace, _) = scenario
+    report = build(scenario).run()
+    assume(report.backend.runs)
+    run = next(iter(report.backend.runs.values()))  # no earlier bundle met a node fault
+    bundle_id = run.bundle.bundle_id
+    first: dict[str, int] = {}  # the first SUBMIT and CANCEL minutes of the bundle
+    steps, end = {}, None
+    for line in report.log:
+        minute, kind, detail = line.split(None, 2)
+        name, *rest = detail.split()
+        if kind == EV_STEP_END and name.startswith(f"{bundle_id}/"):
+            steps[name.partition("/")[2]] = (int(minute), rest[0], int(rest[2]))
+        elif kind == EV_BUNDLE_END and name == bundle_id:
+            end = (int(minute), rest[0])
+        elif kind in ("SUBMIT", "CANCEL") and name == bundle_id:
+            first.setdefault(kind, int(minute))
+    windows = next(w for site_id, *_, w in sites if site_id == run.site_id)
+    true = {job_id: t * (overrun or 1) for job_id, _, _, t, _, overrun, _ in jobs}
+    faulted = {job_id for job_id, *_, node_fault in jobs if node_fault}
+    args = (run.bundle.members, run.bundle.request_minutes, first["SUBMIT"], run.wait,
+            windows, grace, true, faulted)
+    cancel = first.get("CANCEL")
+    # A cancel at the very minute the last step ends leaves the kind to the order
+    # of the two same-minute events, which the reference does not model.
+    assume(bundle_timeline(*args)[1] != (cancel, "complete"))
+    assert (steps, end) == bundle_timeline(*args, cancel_at=cancel)
 
 
 def output_texts(report) -> tuple[str, str, str]:

@@ -1,5 +1,6 @@
 """Simulated cluster backend: virtual time, faults, and recovery loops."""
 
+import copy
 import gc
 import sys
 import weakref
@@ -397,9 +398,26 @@ class TestHappyPath:
 
     def test_empty_workload_terminates(self):
         report = sim([]).run()
-        assert report.final_minute <= 10
+        assert report.now <= 10
         assert report.live_at_end == 0
         assert not report.horizon_exhausted
+
+    def test_run_returns_the_simulation(self):
+        s = sim([job("a")])
+        assert s.run() is s
+
+    def test_every_job_is_live_before_a_run(self):
+        s = sim([job("a"), job("b", arrival=50)])
+        assert s.live_at_end == 2
+        assert s.event_log_text == "" and not s.horizon_exhausted
+
+    def test_a_second_run_is_refused_before_it_changes_anything(self):
+        report = sim([job("a"), job("b")]).run()
+        text, jobs = report.event_log_text, copy.deepcopy(report.dispatcher.jobs)
+        with pytest.raises(ValueError, match="already run"):
+            report.run()
+        assert report.event_log_text == text and report.live_at_end == 0
+        assert report.dispatcher.jobs == jobs
 
     def test_arrival_order_respected(self):
         s = sim(
@@ -777,6 +795,14 @@ class TestHorizon:
         assert report.horizon_exhausted
         assert report.live_at_end == 1
         assert any("HORIZON" in line for line in report.log)
+
+    def test_an_arrival_past_the_horizon_is_live_at_the_end(self):
+        report = sim([job("a"), job("late", arrival=1_000)], horizon_minutes=500).run()
+        assert report.dispatcher.jobs["a"].state is JobState.COMPLETED
+        assert "late" not in report.dispatcher.jobs
+        assert report.horizon_exhausted
+        assert report.live_at_end == 1
+        assert any(line.endswith("stopped at 500 with 1 live jobs") for line in report.log)
 
     def test_metrics_out_dir_materializes_artifacts(self, tmp_path):
         jobs = [job("a", req=40, true=30)]
