@@ -18,7 +18,7 @@ from .packing import PackingBin, Placement, ResourceRect, bounding_request, wast
 
 
 class JobLike(Protocol):
-    """Anything with a resource request; satisfied by dispatcher JobRecord."""
+    """Anything with a resource request: a dispatcher JobSpec or JobRecord."""
 
     cores: int
     requested_minutes: int

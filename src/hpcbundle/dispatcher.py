@@ -54,7 +54,6 @@ JOB_ID_RULE = ("may use only letters, digits, '.', '_' and '-', may not start wi
 
 
 class JobState(enum.Enum):
-    PENDING = "pending"
     BOUND = "bound"
     BUNDLED = "bundled"
     RUNNING = "running"
@@ -69,7 +68,6 @@ class JobState(enum.Enum):
 TERMINAL_STATES = (JobState.COMPLETED, JobState.ERRORED)
 
 _ALLOWED_TRANSITIONS: dict[JobState, set[JobState]] = {
-    JobState.PENDING: {JobState.BOUND, JobState.ERRORED},
     JobState.BOUND: {JobState.BUNDLED, JobState.ERRORED},
     JobState.BUNDLED: {JobState.RUNNING, JobState.BOUND, JobState.ERRORED},
     JobState.RUNNING: {JobState.COMPLETED, JobState.ERRORED, JobState.BOUND},
@@ -111,10 +109,10 @@ def job_error(spec: JobSpec, known: Container[str]) -> str | None:
 
 @dataclass(slots=True)
 class JobRecord:
-    """Lifecycle state machine for one job.
+    """One job's lifecycle; ``Dispatcher._set_state`` alone moves its ``state``.
 
-    ``requested_minutes`` only ever doubles, so it stays an exact power of
-    two times ``original_minutes``.
+    A record starts BOUND.  ``requested_minutes`` doubles once per timeout,
+    so it stays the spec's request times ``2 ** timeout_count``.
     """
 
     job_id: str
@@ -122,8 +120,7 @@ class JobRecord:
     model_id: str
     cores: int
     requested_minutes: int
-    original_minutes: int
-    state: JobState = JobState.PENDING
+    state: JobState = JobState.BOUND
     bound_site: str | None = None
     attempts: int = 0
     error_kind: str | None = None
@@ -132,19 +129,10 @@ class JobRecord:
     timeout_count: int = 0
     rebind_count: int = 0
 
-    def transition(self, new_state: JobState, now: int) -> None:
-        if new_state not in _ALLOWED_TRANSITIONS[self.state]:
-            raise ValueError(
-                f"{self.job_id}: illegal transition {self.state.value} -> {new_state.value}"
-            )
-        self.state = new_state
-        if new_state in TERMINAL_STATES:
-            self.terminal_at = now
-
     @property
     def doublings(self) -> int:
-        ratio = self.requested_minutes // self.original_minutes
-        return ratio.bit_length() - 1
+        """Times the wallclock request doubled: one per timeout."""
+        return self.timeout_count
 
 
 # Verdict for a step that left no sentinel; the other verdicts are state words.
@@ -319,29 +307,18 @@ class Dispatcher:
         error = job_error(spec, self.jobs)
         if error is not None:
             raise ValueError(error)
-        job = JobRecord(
-            job_id=spec.job_id,
-            test_id=spec.test_id,
-            model_id=spec.model_id,
-            cores=spec.cores,
-            requested_minutes=spec.requested_minutes,
-            original_minutes=spec.requested_minutes,
-            ingested_at=now,
-        )
+        site = self.registry.bind(spec, spec.job_id)
+        job = JobRecord(spec.job_id, spec.test_id, spec.model_id, spec.cores,
+                        spec.requested_minutes, ingested_at=now,
+                        bound_site=None if site is None else site.site_id)
         self.jobs[job.job_id] = job
-        self.state_counts[job.state] += 1
-        self._bind_or_error(job, now)
-        return job
-
-    def _bind_or_error(self, job: JobRecord, now: int) -> None:
-        site = self.registry.bind(job, job.job_id)
-        if site is None:
+        self.state_counts[JobState.BOUND] += 1
+        if site is None:  # errored before anything has seen it bound
             self._error(job, now, "resource-error", "no compatible execution site")
-            return
-        job.bound_site = site.site_id
-        self._set_state(job, JobState.BOUND, now)
-        self._record(now, "BIND", f"{job.job_id} -> {site.site_id}")
-        self._attempt_formation(site, now)
+        else:
+            self._record(now, "BIND", f"{job.job_id} -> {site.site_id}")
+            self._attempt_formation(site, now)
+        return job
 
     # -- bundle formation and submission --------------------------------
 
@@ -462,8 +439,13 @@ class Dispatcher:
             self._mark_running_if_needed(job, now)
             self._set_state(job, JobState.COMPLETED, now)
             self._deliver(job, "completed", elapsed)
-        elif status == ACCT_TIMEOUT:
-            self.handle_timeout(job, now)
+        elif status == ACCT_TIMEOUT:  # double the wallclock request and requeue
+            job.timeout_count += 1
+            self.timeout_total += 1
+            job.requested_minutes *= 2
+            self._record(now, "TIMEOUT", f"{job.job_id} wallclock {job.requested_minutes // 2} "
+                                         f"-> {job.requested_minutes}")
+            self._retry(job, now)
         elif status == ACCT_FAILED:
             self._mark_running_if_needed(job, now)
             self._error(job, now, "job-error", f"exit code {code}")
@@ -477,15 +459,6 @@ class Dispatcher:
             self._set_state(job, JobState.RUNNING, now)
 
     # -- recovery paths --------------------------------------------------
-
-    def handle_timeout(self, job: JobRecord, now: int) -> None:
-        """Double the wallclock request and requeue, rebinding if needed."""
-        job.timeout_count += 1
-        self.timeout_total += 1
-        previous = job.requested_minutes
-        job.requested_minutes *= 2
-        self._record(now, "TIMEOUT", f"{job.job_id} wallclock {previous} -> {job.requested_minutes}")
-        self._retry(job, now)
 
     def _retry(self, job: JobRecord, now: int) -> None:
         if job.attempts >= RETRY_CAP:
@@ -574,15 +547,23 @@ class Dispatcher:
                                          elapsed, job.attempts))
 
     def _set_state(self, job: JobRecord, new_state: JobState, now: int) -> None:
-        self.state_counts[job.state] -= 1
-        job.transition(new_state, now)
+        """The one writer of ``job.state`` and ``terminal_at``, and of the
+        ``state_counts`` moves; a move ``_ALLOWED_TRANSITIONS`` refuses raises
+        ``ValueError`` before anything changes."""
+        old = job.state
+        if new_state not in _ALLOWED_TRANSITIONS[old]:
+            raise ValueError(f"{job.job_id}: illegal transition {old.value} -> {new_state.value}")
+        self.state_counts[old] -= 1
         self.state_counts[new_state] += 1
+        job.state = new_state
+        if new_state in TERMINAL_STATES:
+            job.terminal_at = now
 
     def terminal_count(self) -> int:
         return self.state_counts[JobState.COMPLETED] + self.state_counts[JobState.ERRORED]
 
     def live_count(self) -> int:
-        """Jobs ingested but not yet terminal (pending through running)."""
+        """Jobs ingested but not yet terminal: bound, bundled or running."""
         return len(self.jobs) - self.terminal_count()
 
     def all_terminal(self) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .dispatcher import Dispatcher, JobState
+from .dispatcher import OUTCOMES, Dispatcher, JobState
 from .workload import ParseError, read_input_text
 
 METRICS_COLUMNS = [
@@ -25,11 +25,7 @@ METRICS_COLUMNS = [
     "request_cores",
     "request_minutes",
     "waste_fraction",
-    "n_completed",
-    "n_timeout",
-    "n_node_fault",
-    "n_cancelled",
-    "n_failed",
+    *("n_" + word.lower() for word in OUTCOMES),  # the order of ``Bundle.outcome_counts``
 ]
 
 JOBS_COLUMNS = [

@@ -352,10 +352,10 @@ class SimCluster:
         handle = f"sim-{self._handle_seq:05d}"
         model, rng = self._waits.get(bundle.site_id, (_NO_WAIT, None))
         wait = model.sample(rng)
-        self.runs[handle] = _BundleRun(handle, bundle, graph, wait)
-        self.sim.push(now, self.on_notify, handle, EVENT_ACCEPTED)
-        self.sim.push(now, self.on_notify, handle, EVENT_QUEUED)
-        self.sim.push(self.advance(bundle.site_id, now, wait), self.on_bundle_start, handle)
+        run = self.runs[handle] = _BundleRun(handle, bundle, graph, wait)
+        self.sim.push(now, self.on_notify, run, EVENT_ACCEPTED)
+        self.sim.push(now, self.on_notify, run, EVENT_QUEUED)
+        self.sim.push(self.advance(bundle.site_id, now, wait), self.on_bundle_start, run)
         return handle
 
     def cancel(self, handle: str) -> BundleArtifacts:
@@ -367,25 +367,23 @@ class SimCluster:
 
     # -- event handlers --------------------------------------------------
 
-    def on_notify(self, handle: str, event_kind: str, now: int) -> None:
+    def on_notify(self, run: _BundleRun, event_kind: str, now: int) -> None:
         """Deliver a notification to ``deliver`` unless its site is stalled."""
-        run = self.runs[handle]
         if self.suppressed(run.site_id, now):
             self.sim.record(now, "SUPPRESSED", f"{run.bundle.bundle_id} {event_kind}")
             return
         artifacts = None
         if event_kind == EVENT_FINISHED:  # handed over once; a later cancel finds none
             artifacts, run.artifacts = run.artifacts, None
-        self.deliver(handle, event_kind, now, artifacts)
+        self.deliver(run.handle, event_kind, now, artifacts)
 
-    def on_bundle_start(self, handle: str, now: int) -> None:
-        run = self.runs[handle]
+    def on_bundle_start(self, run: _BundleRun, now: int) -> None:
         if run.finalized:  # cancelled while it waited in the queue
             return
         run.started_at = now
         self.sim.record(now, EV_BUNDLE_START,
                         f"{run.bundle.bundle_id} on {run.site_id} after {run.wait}m queue wait")
-        self.sim.push(now, self.on_notify, handle, EVENT_RUNNING)
+        self.sim.push(now, self.on_notify, run, EVENT_RUNNING)
         grace = self.config.grace_minutes
         true = self._true
         # The kill rule cuts a step at its allotment plus the grace period.
@@ -398,26 +396,23 @@ class SimCluster:
             start = self.advance(site, now, rel_start)
             end = self.advance(site, now, rel_end)
             run.schedule[job_id] = (start, end, word, minutes)
-            self.sim.push(start, self.on_step_start, handle, job_id)
-            self.sim.push(end, self.on_step_end, handle, job_id)
+            self.sim.push(start, self.on_step_start, run, job_id)
+            self.sim.push(end, self.on_step_end, run, job_id)
         kill_at = self.advance(site, now, run.bundle.request_minutes + grace)
-        self.sim.push(kill_at, self.on_bundle_end, handle)
+        self.sim.push(kill_at, self.on_bundle_end, run)
 
-    def on_step_start(self, handle: str, job_id: str, now: int) -> None:
-        run = self.runs[handle]
+    def on_step_start(self, run: _BundleRun, job_id: str, now: int) -> None:
         if not run.finalized:
             self.sim.record(now, EV_STEP_START, f"{run.bundle.bundle_id}/{job_id}")
 
-    def on_step_end(self, handle: str, job_id: str, now: int) -> None:
-        run = self.runs[handle]
+    def on_step_end(self, run: _BundleRun, job_id: str, now: int) -> None:
         if run.finalized:
             return
         self._conclude_step(run, job_id, now)
         if len(run.rows) == len(run.bundle.members):
             self._finalize(run, now, killed=False, notify=True)
 
-    def on_bundle_end(self, handle: str, now: int) -> None:
-        run = self.runs[handle]
+    def on_bundle_end(self, run: _BundleRun, now: int) -> None:
         if not run.finalized:
             self._finalize(run, now, killed=True, notify=True)
 
@@ -460,7 +455,7 @@ class SimCluster:
         self.sim.materialize(run)
         run.schedule = run.rows = run.graph = None
         if notify:
-            self.sim.push(now, self.on_notify, run.handle, EVENT_FINISHED)
+            self.sim.push(now, self.on_notify, run, EVENT_FINISHED)
 
 
 class Simulation:

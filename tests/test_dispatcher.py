@@ -223,7 +223,7 @@ class TestTimeoutDoubling:
             handle, bundle, _ = backend.last
             arts = artifacts_for(bundle, {"j": "TIMEOUT"})
             dispatcher.on_event(handle, "FINISHED", now=10 * (round_ + 1), artifacts=arts)
-            ratio = job.requested_minutes / job.original_minutes
+            ratio = job.requested_minutes / 7
             assert ratio == 2 ** (round_ + 1)
             assert job.doublings == round_ + 1
 
@@ -484,6 +484,16 @@ class TestSiteControl:
 
 
 class TestConservation:
+    def test_a_refused_transition_changes_nothing(self):
+        dispatcher, _, _ = build(policy=BundlePolicy(min_jobs=9, min_fill=1.0))
+        job = dispatcher.ingest(spec(), now=0)
+        counts = dict(dispatcher.state_counts)
+        with pytest.raises(ValueError, match="illegal transition bound -> completed"):
+            dispatcher._set_state(job, JobState.COMPLETED, now=5)
+        assert job.state is JobState.BOUND and job.terminal_at is None
+        assert dict(dispatcher.state_counts) == counts == {JobState.BOUND: 1}
+        assert dispatcher.conservation_ok()
+
     def test_every_job_in_exactly_one_bucket(self):
         sites = [ExecutionSite("S1", 6, 100), ExecutionSite("S2", 6, 300)]
         dispatcher, backend, _ = build(sites=sites)

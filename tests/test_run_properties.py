@@ -3,13 +3,14 @@
 Each example draws sites, a workload, per-job faults, per-site stall
 windows and queue waits, a bundling policy and a simulation config, runs
 the simulation to the end and checks invariants that must hold for any
-such input: terminal states, one result envelope per job, an event log
-that never acts on a finished bundle or starts a step before its
-predecessors end, placements inside each bundle's request, that request
-the bounding box of the placements with their waste, each bundle's
-``STEP_END`` words tallying to its outcome counts, every notification
-delivered outside its site's stall windows and swallowed inside one, and a
-replay that reproduces the log byte for byte.  The first bundle's step and
+such input: terminal states, one result envelope per job, each job's
+request its spec's doubled once per timeout, an event log that never
+acts on a finished bundle or starts a step before its predecessors end,
+placements inside each bundle's request, that request the bounding box
+of the placements with their waste, each bundle's ``STEP_END`` words
+tallying to its outcome counts, every notification delivered outside its
+site's stall windows and swallowed inside one, and a replay that
+reproduces the log byte for byte.  The first bundle's step and
 bundle ends follow the minute-stepped timeline of ``reference.py``.  Four
 metamorphic properties follow: a site that fits no job changes no output
 byte, a fixed queue wait drawn as a one-value uniform wait changes no
@@ -23,6 +24,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
@@ -200,12 +202,18 @@ def test_whole_run_properties(scenario):
     assert all(job.state in TERMINAL_STATES for job in dispatcher.jobs.values())
     assert dispatcher.all_terminal() and report.live_at_end == 0
     assert dispatcher.conservation_ok()
+    counts = dispatcher.state_counts  # no negative count, and equal to a recount
+    assert min(counts.values()) >= 0
+    assert +counts == Counter(job.state for job in dispatcher.jobs.values())
 
     envelopes = {e.job_id: e for e in report.sink.envelopes}
     assert sorted(e.job_id for e in report.sink.envelopes) == sorted(dispatcher.jobs)
+    requests = {job_id: req for job_id, _, req, *_ in scenario[1]}
     for job_id, job in dispatcher.jobs.items():
         expected = "completed" if job.state is JobState.COMPLETED else job.error_kind
         assert envelopes[job_id].status == expected
+        assert job.requested_minutes == requests[job_id] * 2 ** job.timeout_count
+        assert job.doublings == job.timeout_count
 
     check_log(report)
     check_placements(report)
