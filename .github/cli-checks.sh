@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Console-script checks: `simulate`, `pack` and `report` end to end on the
-# demo data, then the inputs each command must refuse with exit 2.
+# demo data, then the inputs each command must refuse with exit 2, then a
+# retry that outgrows its site and moves to another.
 #
 # Usage, from the repository root:
 #   .github/cli-checks.sh OUTDIR CMD...
@@ -75,5 +76,19 @@ rc=0; "${hpc[@]}" report "$out/bad-byte-jobs.csv" 2> "$out/bad-byte-jobs.err" ||
 cat "$out/bad-byte-jobs.err"
 if [ "$rc" -ne 2 ] || ! grep -q 'bad-byte-jobs.csv: line 3:' "$out/bad-byte-jobs.err"; then
   fail "a 0xff byte on line 3 of a jobs table gave exit $rc or named no file and line 3"
+fi
+
+# A timeout doubles J1's request from 60 to 120 minutes: 125 with the 5-minute
+# buffer outgrows `small`, so the retry moves to `big` (seed 1 binds J1 to `small`).
+printf '[site small]\ncores_per_node = 4\nmax_walltime_minutes = 100\n\n[site big]\ncores_per_node = 4\nmax_walltime_minutes = 1000\n' > "$out/rebind-sites.txt"
+printf 'job_id,test_id,model_id,cores,requested_minutes,true_runtime_minutes,arrival_minute\nJ1,T1,M1,1,60,90,0\n' > "$out/rebind.csv"
+"${hpc[@]}" simulate --seed 1 --sites "$out/rebind-sites.txt" --workload "$out/rebind.csv" \
+  --policy min_jobs=1 --out "$out/rebind" > "$out/rebind.txt"
+cat "$out/rebind.txt"
+grep -q ' BIND  *J1 -> small$' "$out/rebind/events.log" || fail "seed 1 did not bind J1 to small"
+if [ "$(grep -c ' REBIND ' "$out/rebind/events.log")" -ne 1 ] \
+  || ! grep -q ' REBIND  *J1 small -> big$' "$out/rebind/events.log" \
+  || ! grep -q '^rebinds  *1$' "$out/rebind.txt"; then
+  fail "the outgrown retry logged no single 'REBIND J1 small -> big' or no 'rebinds 1'"
 fi
 echo "console-script checks passed"

@@ -2,10 +2,11 @@
 
 Each HPC cluster/partition pair is an execution site with a FIFO queue of
 bound jobs.  New jobs are bound to a compatible site chosen uniformly at
-random.  A bundle forms by packing the queue, in arrival order, into a
-fresh bin of the site until the sufficiency policy is met; sites with
-idle queues are flushed (forced single-pass packing) at a regular
-interval so small queues are never stranded.
+random; a retried job stays at its site while that site still fits it.  A
+bundle forms by packing the queue, in arrival order, into a fresh bin of
+the site until the sufficiency policy is met; sites with idle queues are
+flushed (forced single-pass packing) at a regular interval so small
+queues are never stranded.
 """
 
 from __future__ import annotations
@@ -71,13 +72,6 @@ class ExecutionSite:
         if self.max_walltime_minutes < 1:
             raise ValueError(f"site {self.site_id!r}: max_walltime_minutes must be >= 1")
 
-    def accommodates(self, cores: int, minutes: int, buffer_minutes: int) -> bool:
-        """True if a fresh bin of this site can hold the buffered request."""
-        return (
-            cores <= self.cores_per_node
-            and minutes + buffer_minutes <= self.max_walltime_minutes
-        )
-
 
 @dataclass(slots=True)
 class Bundle:
@@ -131,8 +125,9 @@ class SiteRegistry:
     removes the members of a bundle the backend accepted, and ``set_active`` empties
     the queue of a site it switches off.  A rejected proposal leaves nothing to undo.
     All mutation happens through one event loop, so no locking; reads for
-    reporting take snapshots of the queue lists.  Every binding draws from
-    ``rng``, so a seeded generator makes a run reproducible.
+    reporting take snapshots of the queue lists.  ``bind`` keeps a job at
+    ``prefer``, a retried job's own site, while that site still takes it, and
+    otherwise draws a site from ``rng``, so a seeded generator makes a run reproducible.
     """
 
     def __init__(self, sites: Iterable[ExecutionSite], policy: BundlePolicy,
@@ -152,31 +147,31 @@ class SiteRegistry:
     def site(self, site_id: str) -> ExecutionSite:
         return self.sites[site_id]
 
-    def compatible_sites(self, cores: int, minutes: int) -> list[ExecutionSite]:
-        """Active sites whose fresh bin holds the request plus buffer."""
-        buffer = self.policy.timeout_buffer_minutes
-        return [
-            s
-            for s in self.sites.values()
-            if s.active and s.accommodates(cores, minutes, buffer)
-        ]
+    def bind(self, job: JobLike, job_id: str,
+             prefer: ExecutionSite | None = None) -> ExecutionSite | None:
+        """Queue ``job`` at a site that takes it, and return that site.
 
-    def bind(self, job: JobLike, job_id: str) -> ExecutionSite | None:
-        """Bind ``job`` to a uniformly random compatible site.
-
-        Appends the job id to the chosen site's queue and returns the
-        site; ``None`` when no active site can take the request, which the
-        caller turns into a terminal resource error.
+        A site takes a job while it is active and a fresh bin of it holds the
+        request plus the timeout buffer.  The job stays at ``prefer`` while that
+        site takes it, and draws nothing; otherwise one site is drawn uniformly
+        at random among those that do.  ``None`` when no site takes it, which
+        the caller turns into a terminal resource error.
         """
-        compatible = self.compatible_sites(job.cores, job.requested_minutes)
-        if not compatible:
+        cores = job.cores
+        minutes = job.requested_minutes + self.policy.timeout_buffer_minutes
+        fits = [s for s in self.sites.values()
+                if s.active and cores <= s.cores_per_node and minutes <= s.max_walltime_minutes]
+        if prefer is not None and prefer in fits:
+            site = prefer
+        elif fits:
+            site = fits[self.rng.randrange(len(fits))]
+        else:
             return None
-        site = compatible[self.rng.randrange(len(compatible))]
         site.queue.append(job_id)
         return site
 
     def enqueue(self, site: ExecutionSite, job_id: str) -> None:
-        """Append a job to a site's queue as a fresh arrival (retries)."""
+        """Append a job to a site's queue as a fresh arrival, with no fit check."""
         site.queue.append(job_id)
 
     def commit(self, bundle: Bundle) -> None:

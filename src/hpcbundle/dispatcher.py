@@ -466,28 +466,24 @@ class Dispatcher:
             self._error(job, now, "flaky-error", f"retry cap reached after {job.attempts} attempts")
             return
         self._set_state(job, JobState.BOUND, now)
-        site = self.registry.site(job.bound_site)
-        if site.active and site.accommodates(job.cores, job.requested_minutes,
-                                             self.policy.timeout_buffer_minutes):
-            self.registry.enqueue(site, job.job_id)
-            self._attempt_formation(site, now)
-        else:
-            self._rebind(job, now)
+        self._rebind(job, now, prefer=self.registry.sites[job.bound_site])
 
-    def _rebind(self, job: JobRecord, now: int) -> None:
+    def _rebind(self, job: JobRecord, now: int, prefer: ExecutionSite | None = None) -> None:
+        """Queue a BOUND job again: at ``prefer`` while it takes the job, else
+        at a random site that does (``REBIND``), else as a resource error."""
         previous = job.bound_site
-        job.bound_site = None
-        site = self.registry.bind(job, job.job_id)
+        site = self.registry.bind(job, job.job_id, prefer)
         if site is None:
             self._error(
                 job, now, "resource-error",
                 f"request {job.cores}c x {job.requested_minutes}m exceeds every active site",
             )
             return
-        job.bound_site = site.site_id
-        job.rebind_count += 1
-        self.rebind_total += 1
-        self._record(now, "REBIND", f"{job.job_id} {previous} -> {site.site_id}")
+        if site.site_id != previous:
+            job.bound_site = site.site_id
+            job.rebind_count += 1
+            self.rebind_total += 1
+            self._record(now, "REBIND", f"{job.job_id} {previous} -> {site.site_id}")
         self._attempt_formation(site, now)
 
     # -- heartbeat monitor ----------------------------------------------

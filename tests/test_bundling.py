@@ -88,6 +88,55 @@ class TestBind:
         assert abs(counts["S3"] / 10_000 - 0.5) <= 0.02
 
 
+class TestBindPrefer:
+    """``bind(..., prefer=)``: a job stays at ``prefer`` while that site takes it."""
+
+    SITES = [("S1", 6, 100, True), ("S2", 8, 200, True), ("S3", 8, 300, True),
+             ("OFF", 8, 300, False)]
+
+    def registry(self, seed):
+        return make_registry([site(*args) for args in self.SITES], seed=seed)
+
+    @pytest.mark.parametrize("prefer_id", ["S1", "S2", "S3"])
+    def test_a_site_that_takes_the_job_keeps_it_and_draws_nothing(self, prefer_id):
+        registry = self.registry(seed=3)
+        state = registry.rng.getstate()
+        prefer = registry.site(prefer_id)
+        assert registry.bind(StubJob(4, 90), "j", prefer=prefer) is prefer
+        assert registry.snapshot_queues() == {s: ["j"] if s == prefer_id else []
+                                              for s, *_ in self.SITES}
+        assert registry.rng.getstate() == state
+
+    # Switched off; 7 cores on a 6-core site; 96 + 5 buffer on a 100-minute site.
+    @pytest.mark.parametrize("prefer_id, job", [
+        ("OFF", StubJob(4, 50)), ("S1", StubJob(7, 50)), ("S1", StubJob(4, 96)),
+    ])
+    def test_a_site_that_cannot_take_the_job_draws_once_as_a_plain_bind(self, prefer_id, job):
+        for seed in range(40):
+            registry, plain = self.registry(seed), self.registry(seed)
+            expected = random.Random()
+            expected.setstate(registry.rng.getstate())
+            n_fits = sum(s.active and job.cores <= s.cores_per_node
+                         and job.requested_minutes + registry.policy.timeout_buffer_minutes
+                         <= s.max_walltime_minutes
+                         for s in registry.sites.values())
+            expected.randrange(n_fits)
+            chosen = registry.bind(job, "j", prefer=registry.site(prefer_id))
+            assert chosen.site_id != prefer_id
+            assert chosen.site_id == plain.bind(job, "j").site_id
+            assert registry.rng.getstate() == expected.getstate() == plain.rng.getstate()
+            assert chosen.queue == ["j"]
+
+    @pytest.mark.parametrize("prefer_id", ["S1", "OFF"])
+    def test_no_site_that_takes_the_job_queues_nothing(self, prefer_id):
+        registry = self.registry(seed=3)
+        state = registry.rng.getstate()
+        assert registry.bind(StubJob(9, 50), "j", prefer=registry.site(prefer_id)) is None
+        assert registry.bind(StubJob(4, 296), "k", prefer=registry.site(prefer_id)) is None
+        assert all(not q for q in registry.snapshot_queues().values())
+        assert registry.rng.getstate() == state
+
+
 class TestTryFormBundle:
     def five_job_registry(self):
         policy = BundlePolicy(min_jobs=5, min_fill=1.0, timeout_buffer_minutes=0)

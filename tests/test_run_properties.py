@@ -10,8 +10,10 @@ placements inside each bundle's request, that request the bounding box
 of the placements with their waste, each bundle's ``STEP_END`` words
 tallying to its outcome counts, every notification delivered outside its
 site's stall windows and swallowed inside one, and a replay that
-reproduces the log byte for byte.  The first bundle's step and
-bundle ends follow the minute-stepped timeline of ``reference.py``.  Four
+reproduces the log byte for byte.  The same run checks that a job moves
+to another site only when its own can no longer hold it.  The first
+bundle's step and bundle ends follow the minute-stepped timeline of
+``reference.py``, also when a cancel is scripted at a step's end.  Four
 metamorphic properties follow: a site that fits no job changes no output
 byte, a fixed queue wait drawn as a one-value uniform wait changes no
 output byte, renaming the job ids in an order-preserving way only renames
@@ -25,6 +27,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
@@ -107,7 +110,7 @@ def scenarios(draw):
     return sites, jobs, policy, config
 
 
-def build(scenario) -> Simulation:
+def build(scenario, horizon_minutes: int = 1_000_000) -> Simulation:
     sites, jobs, policy, (seed, grace, tick) = scenario
     faults = []
     for job_id, *_, overrun, node_fault in jobs:
@@ -118,7 +121,7 @@ def build(scenario) -> Simulation:
     for site_id, *_, windows in sites:
         faults += [FaultSpec(GLOBAL_STALL, site_id, window=w) for w in windows]
     config = SimConfig(
-        seed=seed, grace_minutes=grace, tick_minutes=tick,
+        seed=seed, grace_minutes=grace, tick_minutes=tick, horizon_minutes=horizon_minutes,
         queue_waits={site_id: wait for site_id, _, _, _, wait, _ in sites if wait},
         faults=tuple(faults),
     )
@@ -192,6 +195,46 @@ def check_notifications(report, scenario) -> None:
             assert stalled == (kind == "SUPPRESSED"), line
 
 
+def check_sites(report, scenario) -> None:
+    """A job waits at its site until its request plus the buffer outgrows it.
+
+    Replaying each job's ``BIND``, ``TIMEOUT`` and ``REBIND`` lines: a
+    ``REBIND X -> Y`` moves a job only when X no longer holds its request and
+    Y holds it, a ``SUBMIT`` runs each member at its own site, which holds it,
+    and a ``resource-error`` comes only when no site does.  No random run
+    switches a site off, so a site takes a job while it is active and holds it.
+    """
+    sites, jobs, policy, _ = scenario
+    shapes = {site_id: (cores, minutes, active) for site_id, cores, minutes, active, *_ in sites}
+    cores_of = {job_id: cores for job_id, cores, *_ in jobs}
+    request = {job_id: req for job_id, _, req, *_ in jobs}
+    at: dict[str, str] = {}
+
+    def holds(site_id: str, job_id: str) -> bool:
+        cores, minutes, active = shapes[site_id]
+        return (active and cores_of[job_id] <= cores
+                and request[job_id] + policy.timeout_buffer_minutes <= minutes)
+
+    for line in report.log:
+        _, kind, detail = line.split(None, 2)
+        words = detail.split()
+        if kind == "BIND":  # J -> S
+            at[words[0]] = words[2]
+        elif kind == "TIMEOUT":  # J wallclock a -> b
+            assert int(words[2]) == request[words[0]], line
+            request[words[0]] = int(words[4])
+        elif kind == "REBIND":  # J X -> Y
+            job_id, old, _, new = words
+            assert old == at[job_id] != new, line
+            assert not holds(old, job_id) and holds(new, job_id), line
+            at[job_id] = new
+        elif kind == "SUBMIT":  # B -> S as h request Cc x Mm jobs J,K
+            for job_id in words[-1].split(","):
+                assert at[job_id] == words[2] and holds(words[2], job_id), line
+        elif kind == "ERROR" and words[1] == "resource-error:":
+            assert not any(holds(site_id, words[0]) for site_id in shapes), line
+
+
 @settings(max_examples=150, deadline=None)
 @given(scenarios())
 def test_whole_run_properties(scenario):
@@ -219,17 +262,14 @@ def test_whole_run_properties(scenario):
     check_placements(report)
     check_step_ends(report)
     check_notifications(report, scenario)
+    check_sites(report, scenario)
     assert build(scenario).run().event_log_text == report.event_log_text
 
 
-@settings(max_examples=100, deadline=None)
-@given(scenarios())
-def test_first_bundle_follows_the_minute_stepped_timeline(scenario):
-    """The first bundle's STEP_END minutes, words and elapsed minutes, and its
-    BUNDLE_END minute and kind, are those of ``reference.bundle_timeline``."""
+def first_bundle(report, scenario):
+    """The first bundle's ``STEP_END`` outcomes and ``BUNDLE_END``, its first
+    ``CANCEL`` minute, and the ``reference.bundle_timeline`` arguments for it."""
     sites, jobs, _, (_, grace, _) = scenario
-    report = build(scenario).run()
-    assume(report.backend.runs)
     run = next(iter(report.backend.runs.values()))  # no earlier bundle met a node fault
     bundle_id = run.bundle.bundle_id
     first: dict[str, int] = {}  # the first SUBMIT and CANCEL minutes of the bundle
@@ -248,11 +288,52 @@ def test_first_bundle_follows_the_minute_stepped_timeline(scenario):
     faulted = {job_id for job_id, *_, node_fault in jobs if node_fault}
     args = (run.bundle.members, run.bundle.request_minutes, first["SUBMIT"], run.wait,
             windows, grace, true, faulted)
-    cancel = first.get("CANCEL")
+    return steps, end, first.get("CANCEL"), args
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios())
+def test_first_bundle_follows_the_minute_stepped_timeline(scenario):
+    """The first bundle's STEP_END minutes, words and elapsed minutes, and its
+    BUNDLE_END minute and kind, are those of ``reference.bundle_timeline``."""
+    report = build(scenario).run()
+    assume(report.backend.runs)
+    steps, end, cancel, args = first_bundle(report, scenario)
     # A cancel at the very minute the last step ends leaves the kind to the order
     # of the two same-minute events, which the reference does not model.
     assume(bundle_timeline(*args)[1] != (cancel, "complete"))
     assert (steps, end) == bundle_timeline(*args, cancel_at=cancel)
+
+
+def arriving_together(scenario):
+    """The scenario with every job arriving at minute 0 and a bundle forming
+    only at a flush, so that the first bundle often holds several steps."""
+    sites, jobs, policy, config = scenario
+    jobs = [(job_id, cores, req, true, 0, *faults) for job_id, cores, req, true, _, *faults in jobs]
+    return sites, jobs, replace(policy, min_jobs=len(jobs) + 1, min_fill=1.0), config
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios().map(arriving_together), st.data())
+def test_a_cancel_at_a_step_end_minute_keeps_that_step_verdict(scenario, data):
+    """A cancel scripted at a minute where a step of the first bundle ends
+    finds that step due at the kill minute: it keeps its own verdict, and the
+    bundle ends as ``reference.bundle_timeline`` cancelled at that minute."""
+    report = build(scenario).run()
+    assume(report.backend.runs)
+    _, _, cancel, args = first_bundle(report, scenario)
+    ends, (last, _) = bundle_timeline(*args)
+    # Before the bundle ends and before any heartbeat cancel, both runs are the same.
+    minutes = sorted({m for m, _, _ in ends.values() if m < last and (cancel is None or m <= cancel)})
+    assume(minutes)
+    minute = data.draw(st.sampled_from(minutes))
+    # The scripted cancel leaves the dispatcher's bundle in flight, so its
+    # jobs never end: the run stops at a horizon a few ticks later.
+    sim = build(scenario, horizon_minutes=minute + 3 * scenario[3][2])
+    # Pushed before the run, the cancel precedes the step's own end event at that minute.
+    sim.push(minute, lambda now: sim.backend.cancel("sim-00001"))
+    steps, end, _, _ = first_bundle(sim.run(), scenario)
+    assert (steps, end) == bundle_timeline(*args, cancel_at=minute)
 
 
 def output_texts(report) -> tuple[str, str, str]:
