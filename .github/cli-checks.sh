@@ -48,6 +48,14 @@ if [ "$rc" -ne 2 ] || [ -e "$out/ghost" ]; then
   fail "a ghost fault target gave exit $rc or left --out behind"
 fi
 
+# A NaN heartbeat factor, which would cancel every bundle at every tick, is refused before --out exists.
+rc=0; "${hpc[@]}" simulate --sites "$sites" --workload "$workload" --policy heartbeat=nan \
+  --out "$out/nan-heartbeat" 2> "$out/nan-heartbeat.err" || rc=$?
+cat "$out/nan-heartbeat.err"
+if [ "$rc" -ne 2 ] || [ -e "$out/nan-heartbeat" ] || ! grep -q 'heartbeat_factor' "$out/nan-heartbeat.err"; then
+  fail "heartbeat=nan gave exit $rc, left --out behind or named no heartbeat_factor"
+fi
+
 # A job is checked once, as its row is read, so the refusal names the row's line.
 { head -n 2 "$workload"; echo "J99,T,M,0,40,25,0"; } > "$out/no-cores.csv"
 rc=0; "${hpc[@]}" simulate --sites "$sites" --workload "$out/no-cores.csv" --out "$out/no-cores" 2> "$out/no-cores.err" || rc=$?

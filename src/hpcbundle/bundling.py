@@ -51,7 +51,7 @@ class BundlePolicy:
             raise ValueError("flush_interval_minutes must be >= 1")
         if self.timeout_buffer_minutes < 0:
             raise ValueError("timeout_buffer_minutes must be >= 0")
-        if self.heartbeat_factor <= 1.0:
+        if not self.heartbeat_factor > 1.0:  # NaN too
             raise ValueError("heartbeat_factor must be > 1")
 
 
@@ -121,9 +121,9 @@ def site_id_error(site_id: str, known: Container[str]) -> str | None:
 class SiteRegistry:
     """Owns the execution sites, their queues, and bundle formation.
 
-    Only the registry changes a queue: ``bind`` and ``enqueue`` append, ``commit``
-    removes the members of a bundle the backend accepted, and ``set_active`` empties
-    the queue of a site it switches off.  A rejected proposal leaves nothing to undo.
+    Only the registry changes a queue: ``bind`` alone appends, ``commit`` removes
+    the members of a bundle the backend accepted, and ``set_active`` empties the
+    queue of a site it switches off.  A rejected proposal leaves nothing to undo.
     All mutation happens through one event loop, so no locking; reads for
     reporting take snapshots of the queue lists.  ``bind`` keeps a job at
     ``prefer``, a retried job's own site, while that site still takes it, and
@@ -169,10 +169,6 @@ class SiteRegistry:
             return None
         site.queue.append(job_id)
         return site
-
-    def enqueue(self, site: ExecutionSite, job_id: str) -> None:
-        """Append a job to a site's queue as a fresh arrival, with no fit check."""
-        site.queue.append(job_id)
 
     def commit(self, bundle: Bundle) -> None:
         """Remove an accepted bundle's members from its site's queue."""

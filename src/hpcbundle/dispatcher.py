@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Container, NamedTuple, Protocol
 
-from .bundling import Bundle, BundlePolicy, ExecutionSite, SiteRegistry
+from .bundling import Bundle, ExecutionSite, SiteRegistry
 from .stepgraph import StepGraph, step_graph, emit_make
 
 SENTINEL_FILENAME = "kim-done"
@@ -287,7 +287,6 @@ class Dispatcher:
         recorder: Callable[[int, str, str], None] = _no_record,
     ):
         self.registry = registry
-        self.policy: BundlePolicy = registry.policy
         self.backend = backend
         self.sink = sink
         self._record = recorder
@@ -496,7 +495,7 @@ class Dispatcher:
         the rest requeue with unchanged requests.
         """
         cancelled: list[str] = []
-        threshold = self.policy.heartbeat_factor
+        threshold = self.registry.policy.heartbeat_factor
         for handle, bundle in list(self.in_flight.items()):
             if now - bundle.last_event_at <= threshold * bundle.request_minutes:
                 continue
@@ -557,10 +556,6 @@ class Dispatcher:
 
     def terminal_count(self) -> int:
         return self.state_counts[JobState.COMPLETED] + self.state_counts[JobState.ERRORED]
-
-    def live_count(self) -> int:
-        """Jobs ingested but not yet terminal: bound, bundled or running."""
-        return len(self.jobs) - self.terminal_count()
 
     def all_terminal(self) -> bool:
         return self.terminal_count() == len(self.jobs)

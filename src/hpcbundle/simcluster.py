@@ -26,6 +26,7 @@ import heapq
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Container, Iterable, Iterator, Sequence
 
@@ -275,11 +276,11 @@ class SimCluster:
 
     def __init__(self, sim: "Simulation", config: SimConfig, runtimes: dict[str, int]):
         """``runtimes`` maps every job to its true minutes; the cluster takes
-        the dict as its own and applies the overruns in place."""
+        the dict as its own and applies the overruns in place.  ``runs`` holds
+        every submission by handle and only grows, so its size numbers the next one."""
         self.sim = sim
         self.config = config
         self.runs: dict[str, _BundleRun] = {}
-        self._handle_seq = 0
         # One queue-wait model and its own random stream per configured site.
         self._waits = {site_id: (wait, derive_rng(config.seed, f"wait:{site_id}"))
                        for site_id, wait in config.queue_waits.items()}
@@ -295,10 +296,8 @@ class SimCluster:
                 self.stall_windows.setdefault(fault.target, []).append(fault.window)
         # ``Simulation`` refuses overlapping windows, so sorted windows also have
         # increasing ends, which the stall arithmetic bisects.
-        self._stall_ends: dict[str, list[int]] = {}
-        for site_id, windows in self.stall_windows.items():
+        for windows in self.stall_windows.values():
             windows.sort()
-            self._stall_ends[site_id] = [e for _, e in windows]
 
     # -- virtual-time arithmetic under site freezes ----------------------
 
@@ -314,7 +313,7 @@ class SimCluster:
             return now + delta
         # Windows ending at or before ``now`` are behind it; every later
         # window ends after the minute the walk (``now`` from here on) has reached.
-        for start, end in windows[bisect_right(self._stall_ends[site_id], now):]:
+        for start, end in windows[bisect_right(windows, now, key=itemgetter(1)):]:
             if now < start:
                 if delta <= start - now:
                     return now + delta
@@ -329,7 +328,7 @@ class SimCluster:
         if windows:
             # Only windows ending after ``start`` and opening before ``now``
             # overlap the interval.
-            for s, e in windows[bisect_right(self._stall_ends[site_id], start):]:
+            for s, e in windows[bisect_right(windows, start, key=itemgetter(1)):]:
                 if s >= now:
                     break
                 total -= min(now, e) - max(start, s)
@@ -340,7 +339,7 @@ class SimCluster:
         windows = self.stall_windows.get(site_id)
         if not windows:
             return False
-        i = bisect_right(self._stall_ends[site_id], at)  # first window ending after ``at``
+        i = bisect_right(windows, at, key=itemgetter(1))  # first window ending after ``at``
         return i < len(windows) and windows[i][0] <= at
 
     # -- backend contract ------------------------------------------------
@@ -348,8 +347,7 @@ class SimCluster:
     def submit(self, bundle: Bundle, graph: StepGraph) -> str:
         # Never refused: the registry packs every bundle into its own site's bin.
         now = self.sim.now
-        self._handle_seq += 1
-        handle = f"sim-{self._handle_seq:05d}"
+        handle = f"sim-{len(self.runs) + 1:05d}"
         model, rng = self._waits.get(bundle.site_id, (_NO_WAIT, None))
         wait = model.sample(rng)
         run = self.runs[handle] = _BundleRun(handle, bundle, graph, wait)
@@ -463,8 +461,9 @@ class Simulation:
 
     Virtual time advances through a heap of (minute, sequence, handler,
     args) entries; ties resolve by insertion order, so a run is a pure
-    function of its inputs.  ``run()`` returns the simulation, which then
-    holds the outcome beside its ``dispatcher``, ``sink`` and ``backend``.
+    function of its inputs.  The loop stops after the event that leaves no job
+    live (``live_at_end``), or past the horizon.  ``run()`` returns the simulation,
+    which then holds the outcome beside its ``dispatcher``, ``sink`` and ``backend``.
     """
 
     def __init__(
@@ -489,7 +488,6 @@ class Simulation:
         self._chunks: list[str] = []
         self._heap: list[tuple[int, int, Callable[..., None], tuple]] = []
         self._seq = 0
-        self._arrivals_remaining = len(self.workload)
         runtimes = {spec.job_id: spec.true_runtime_minutes for spec in self.workload}
         refused = fault_error(config.faults, {s.site_id for s in sites}, runtimes)
         if refused is not None:
@@ -545,7 +543,7 @@ class Simulation:
                 break
             self.now = time
             handler(*args, time)
-            if self._arrivals_remaining == 0 and self.dispatcher.all_terminal():
+            if not self.live_at_end:
                 break
         if self.horizon_exhausted and self.live_at_end:
             self.record(self.now, "HORIZON", f"stopped at {self.config.horizon_minutes} "
@@ -557,8 +555,9 @@ class Simulation:
 
     @property
     def live_at_end(self) -> int:
-        """Jobs not yet terminal, arrivals still to come included: all of them before a run."""
-        return self.dispatcher.live_count() + self._arrivals_remaining
+        """The workload's jobs not yet terminal, all of them before a run: jobs enter a
+        simulation only through its workload, so its size less the terminal count."""
+        return len(self.workload) - self.dispatcher.terminal_count()
 
     @property
     def log(self) -> Iterator[str]:
@@ -576,12 +575,11 @@ class Simulation:
     # -- loop events -----------------------------------------------------
 
     def on_arrival(self, spec: JobSpec, now: int) -> None:
-        self._arrivals_remaining -= 1
         self.record(now, EV_ARRIVAL, spec.job_id)
         self.dispatcher.ingest(spec, now)
 
     def on_tick(self, now: int) -> None:
         self.dispatcher.monitor(now)
         self.dispatcher.flush(now)
-        if self._arrivals_remaining or not self.dispatcher.all_terminal():
+        if self.live_at_end:
             self.push(now + self.config.tick_minutes, self.on_tick)

@@ -47,6 +47,7 @@ class TestBundlePolicy:
             {"flush_interval_minutes": 0},
             {"timeout_buffer_minutes": -1},
             {"heartbeat_factor": 1.0},
+            {"heartbeat_factor": float("nan")},
         ],
     )
     def test_validation(self, kwargs):
@@ -312,10 +313,11 @@ class TestCommit:
         assert again.job_ids == first.job_ids == ["a", "b"]
         assert (first.bundle_id, again.bundle_id) == ("B00001", "B00002")
 
-    def test_enqueue_appends_as_fresh_arrival(self):
+    def test_retry_bind_appends_as_fresh_arrival(self):
+        # A retried member goes back to its own site behind the jobs still waiting.
         registry, jobs = self.abc_registry()
         registry.commit(registry.try_form_bundle(registry.site("S1"), jobs))
-        registry.enqueue(registry.site("S1"), "a")
+        assert registry.bind(jobs["a"], "a", prefer=registry.site("S1")) is registry.site("S1")
         assert registry.site("S1").queue == ["c", "a"]
 
     def test_switching_off_empties_the_queue(self):
@@ -348,8 +350,8 @@ def test_queues_match_the_cut_and_requeue_model(seed, steps):
     jobs: dict[str, StubJob] = {}
     idle: list[str] = []  # in no queue: unbindable, in an accepted bundle, or drained
 
-    def bind(job_id):
-        bound = registry.bind(jobs[job_id], job_id)
+    def bind(job_id, prefer=None):
+        bound = registry.bind(jobs[job_id], job_id, prefer)
         if bound is None:
             idle.append(job_id)
         else:
@@ -361,14 +363,8 @@ def test_queues_match_the_cut_and_requeue_model(seed, steps):
             jobs[job_id] = StubJob(*args)
             bind(job_id)
         elif kind == "retry" and idle:
-            # As the dispatcher retries: back onto an active site, else rebind.
-            job_id = idle.pop(args[1] % len(idle))
-            target = sites[args[0]]
-            if target.active:
-                registry.enqueue(target, job_id)
-                model.append(target.site_id, job_id)
-            else:
-                bind(job_id)
+            # As the dispatcher retries: back at its site while that site takes it, else rebound.
+            bind(idle.pop(args[1] % len(idle)), prefer=sites[args[0]])
         elif kind in ("accept", "reject"):
             target = sites[args[0]]
             bundle = registry.try_form_bundle(target, jobs, force=args[1])

@@ -272,6 +272,16 @@ class TestErrors:
                    "--policy", "min_fill=2.0"])
         assert rc == 2
 
+    def test_nan_heartbeat_exits_2_before_out(self, inputs, tmp_path, capsys):
+        """A NaN factor would let the monitor cancel every bundle at every tick."""
+        sites, workload = inputs
+        out = tmp_path / "out"
+        rc = main(["simulate", "--sites", str(sites), "--workload", str(workload),
+                   "--policy", "heartbeat=nan", "--out", str(out)])
+        assert rc == 2
+        assert "heartbeat_factor must be > 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("which", ["sites", "workload"])
     def test_directory_as_input_exits_2(self, inputs, tmp_path, capsys, which):
         sites, workload = inputs

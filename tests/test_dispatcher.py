@@ -14,6 +14,7 @@ from hpcbundle.dispatcher import (
     JobSpec,
     JobState,
     RETRY_CAP,
+    TERMINAL_STATES,
     make_text,
 )
 
@@ -507,7 +508,9 @@ class TestConservation:
                 arts = artifacts_for(bundle, {j: word for j in bundle.job_ids})
                 dispatcher.on_event(handle, "FINISHED", now=50, artifacts=arts)
                 assert dispatcher.conservation_ok()
-        assert dispatcher.terminal_count() + dispatcher.live_count() == 6
+        assert len(dispatcher.jobs) == 6
+        assert dispatcher.terminal_count() == sum(
+            job.state in TERMINAL_STATES for job in dispatcher.jobs.values())
 
 
 class TestAccountingFormat:

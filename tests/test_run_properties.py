@@ -13,7 +13,8 @@ site's stall windows and swallowed inside one, and a replay that
 reproduces the log byte for byte.  The same run checks that a job moves
 to another site only when its own can no longer hold it.  The first
 bundle's step and bundle ends follow the minute-stepped timeline of
-``reference.py``, also when a cancel is scripted at a step's end.  Four
+``reference.py``, also when a cancel is scripted at a step's end, and so
+do those of every bundle whose members carry no node fault.  Four
 metamorphic properties follow: a site that fits no job changes no output
 byte, a fixed queue wait drawn as a one-value uniform wait changes no
 output byte, renaming the job ids in an order-preserving way only renames
@@ -258,6 +259,14 @@ def test_whole_run_properties(scenario):
         assert job.requested_minutes == requests[job_id] * 2 ** job.timeout_count
         assert job.doublings == job.timeout_count
 
+    # The loop stops at the event that ends the last job: no no-op entry after it
+    # moves the clock, and that event writes the log's last line.
+    assert report.now == max(job.terminal_at for job in dispatcher.jobs.values())
+    *_, last = report.log
+    assert int(last.split(None, 1)[0]) == report.now
+    handles = [line.split()[6] for line in report.log if line.split()[1] == "SUBMIT"]
+    assert handles == [f"sim-{n:05d}" for n in range(1, len(report.backend.runs) + 1)]
+
     check_log(report)
     check_placements(report)
     check_step_ends(report)
@@ -266,29 +275,38 @@ def test_whole_run_properties(scenario):
     assert build(scenario).run().event_log_text == report.event_log_text
 
 
-def first_bundle(report, scenario):
-    """The first bundle's ``STEP_END`` outcomes and ``BUNDLE_END``, its first
-    ``CANCEL`` minute, and the ``reference.bundle_timeline`` arguments for it."""
+def bundle_timelines(report, scenario):
+    """For each submitted bundle, in order: its ``STEP_END`` outcomes and
+    ``BUNDLE_END``, its first ``CANCEL`` minute, and the ``reference.bundle_timeline``
+    arguments for it, which take every job's node fault as still to come."""
     sites, jobs, _, (_, grace, _) = scenario
-    run = next(iter(report.backend.runs.values()))  # no earlier bundle met a node fault
-    bundle_id = run.bundle.bundle_id
-    first: dict[str, int] = {}  # the first SUBMIT and CANCEL minutes of the bundle
-    steps, end = {}, None
+    steps: dict[str, dict[str, tuple[int, str, int]]] = {}
+    ends: dict[str, tuple[int, str]] = {}
+    first: dict[tuple[str, str], int] = {}  # the first SUBMIT and CANCEL minutes of each bundle
     for line in report.log:
         minute, kind, detail = line.split(None, 2)
         name, *rest = detail.split()
-        if kind == EV_STEP_END and name.startswith(f"{bundle_id}/"):
-            steps[name.partition("/")[2]] = (int(minute), rest[0], int(rest[2]))
-        elif kind == EV_BUNDLE_END and name == bundle_id:
-            end = (int(minute), rest[0])
-        elif kind in ("SUBMIT", "CANCEL") and name == bundle_id:
-            first.setdefault(kind, int(minute))
-    windows = next(w for site_id, *_, w in sites if site_id == run.site_id)
+        if kind == EV_STEP_END:
+            bundle_id, _, job_id = name.partition("/")
+            steps.setdefault(bundle_id, {})[job_id] = (int(minute), rest[0], int(rest[2]))
+        elif kind == EV_BUNDLE_END:
+            ends[name] = (int(minute), rest[0])
+        elif kind in ("SUBMIT", "CANCEL"):
+            first.setdefault((kind, name), int(minute))
+    windows = {site_id: w for site_id, *_, w in sites}
     true = {job_id: t * (overrun or 1) for job_id, _, _, t, _, overrun, _ in jobs}
     faulted = {job_id for job_id, *_, node_fault in jobs if node_fault}
-    args = (run.bundle.members, run.bundle.request_minutes, first["SUBMIT"], run.wait,
-            windows, grace, true, faulted)
-    return steps, end, first.get("CANCEL"), args
+    for run in report.backend.runs.values():
+        bundle_id = run.bundle.bundle_id
+        args = (run.bundle.members, run.bundle.request_minutes, first["SUBMIT", bundle_id],
+                run.wait, windows[run.site_id], grace, true, faulted)
+        cancel = first.get(("CANCEL", bundle_id))
+        yield steps.get(bundle_id, {}), ends.get(bundle_id), cancel, args
+
+
+def first_bundle(report, scenario):
+    """``bundle_timelines`` for the first bundle, which no earlier bundle's node fault touched."""
+    return next(bundle_timelines(report, scenario))
 
 
 @settings(max_examples=100, deadline=None)
@@ -303,6 +321,22 @@ def test_first_bundle_follows_the_minute_stepped_timeline(scenario):
     # of the two same-minute events, which the reference does not model.
     assume(bundle_timeline(*args)[1] != (cancel, "complete"))
     assert (steps, end) == bundle_timeline(*args, cancel_at=cancel)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios())
+def test_every_bundle_clear_of_node_faults_follows_the_minute_stepped_timeline(scenario):
+    """Every bundle none of whose members has a NODE_FAULT follows
+    ``reference.bundle_timeline`` from its own SUBMIT minute, queue wait, site
+    windows and first CANCEL, as the first bundle does."""
+    report = build(scenario).run()
+    faulted = {job_id for job_id, *_, node_fault in scenario[1] if node_fault}
+    for steps, end, cancel, args in bundle_timelines(report, scenario):
+        if faulted.intersection(job_id for job_id, _ in args[0]):
+            continue  # how many of its faults are left depends on earlier bundles
+        # As for the first bundle: a cancel at the minute the last step ends is left out.
+        if bundle_timeline(*args)[1] != (cancel, "complete"):
+            assert (steps, end) == bundle_timeline(*args, cancel_at=cancel)
 
 
 def arriving_together(scenario):
