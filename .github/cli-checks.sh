@@ -86,6 +86,19 @@ if [ "$rc" -ne 2 ] || ! grep -q 'bad-byte-jobs.csv: line 3:' "$out/bad-byte-jobs
   fail "a 0xff byte on line 3 of a jobs table gave exit $rc or named no file and line 3"
 fi
 
+# A jobs table row with a missing field, or with a turnaround that is not an
+# integer, is refused with its file and line, not with a traceback.
+{ head -n 2 "$out/sim/jobs.csv"; echo "J99,T99,M1,completed,1,0"; } > "$out/short-row-jobs.csv"
+{ head -n 2 "$out/sim/jobs.csv"; echo "J99,T99,M1,completed,1,0,x"; } > "$out/bad-turnaround-jobs.csv"
+for table in short-row bad-turnaround; do
+  rc=0; "${hpc[@]}" report "$out/$table-jobs.csv" 2> "$out/$table-jobs.err" || rc=$?
+  cat "$out/$table-jobs.err"
+  if [ "$rc" -ne 2 ] || ! grep -q "$table-jobs.csv: line 3:" "$out/$table-jobs.err" \
+    || grep -q 'Traceback' "$out/$table-jobs.err"; then
+    fail "a $table jobs table gave exit $rc, named no file and line 3 or printed a traceback"
+  fi
+done
+
 # A timeout doubles J1's request from 60 to 120 minutes: 125 with the 5-minute
 # buffer outgrows `small`, so the retry moves to `big` (seed 1 binds J1 to `small`).
 printf '[site small]\ncores_per_node = 4\nmax_walltime_minutes = 100\n\n[site big]\ncores_per_node = 4\nmax_walltime_minutes = 1000\n' > "$out/rebind-sites.txt"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .dispatcher import OUTCOMES, Dispatcher, JobState
+from .dispatcher import OUTCOMES, TERMINAL_STATES, Dispatcher, JobState
 from .workload import ParseError, read_input_text
 
 METRICS_COLUMNS = [
@@ -170,9 +170,37 @@ def summarize(dispatcher: Dispatcher) -> Summary:
     return summary
 
 
+_STATE_WORDS = frozenset(state.value for state in JobState)
+_TERMINAL_WORDS = frozenset(state.value for state in TERMINAL_STATES)
+
+
+def _job_row_error(row: dict[str | None, object]) -> str | None:
+    """Why a jobs table row cannot be pooled, or ``None`` when it can: as
+    ``job_rows`` writes it, a terminal job has a turnaround and a live one
+    has none."""
+    if None in row or None in row.values():  # DictReader's marks for an extra or a missing field
+        return "wrong number of fields"
+    state, turnaround = row["state"], row["turnaround_minutes"]
+    if state not in _STATE_WORDS:
+        return f"state: unknown word {state!r}"
+    if (turnaround != "") != (state in _TERMINAL_WORDS):
+        return f"turnaround_minutes: {turnaround!r} for a {state} job"
+    if turnaround != "":
+        try:
+            minutes = int(turnaround)
+        except ValueError:
+            minutes = -1
+        if minutes < 0:
+            return f"turnaround_minutes: expected a non-negative integer, got {turnaround!r}"
+    return None
+
+
 def read_jobs_csv(path: str | Path) -> list[dict[str, str]]:
     """Load a jobs table, insisting on the exact column schema; its text is
-    decoded as ``read_input_text`` decodes every input file."""
+    decoded as ``read_input_text`` decodes every input file.  A row with a
+    missing or extra field, an unknown state word, or a turnaround that is
+    not a non-negative integer for a completed or errored job and empty for
+    a live one is refused as ``<path>: line N: ...``."""
     try:
         reader = csv.DictReader(io.StringIO(read_input_text(path)))
     except ParseError as exc:  # a byte that is not UTF-8, refused with its line
@@ -181,7 +209,13 @@ def read_jobs_csv(path: str | Path) -> list[dict[str, str]]:
         raise ValueError(
             f"{path}: expected columns {JOBS_COLUMNS}, found {reader.fieldnames}"
         )
-    return list(reader)
+    rows = []
+    for row in reader:  # ``reader.line_num`` is the row's last line
+        error = _job_row_error(row)
+        if error is not None:
+            raise ParseError(f"{path}: line {reader.line_num}: {error}")
+        rows.append(row)
+    return rows
 
 
 def aggregate(paths: Sequence[str | Path]) -> Summary:

@@ -86,7 +86,13 @@ def bounding_request(placements: Sequence[Placement]) -> tuple[int, int]:
     """Smallest origin-anchored (cores, minutes) region covering all placements."""
     if not placements:
         raise ValueError("bounding request of an empty placement set")
-    return (max(p.right for p in placements), max(p.top for p in placements))
+    cores = minutes = 0
+    for x, y, rect in placements:
+        if x + rect.cores > cores:
+            cores = x + rect.cores
+        if y + rect.minutes > minutes:
+            minutes = y + rect.minutes
+    return cores, minutes
 
 
 def waste_fraction(placements: Sequence[Placement], request: tuple[int, int] | None = None) -> float:

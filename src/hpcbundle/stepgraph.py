@@ -6,6 +6,12 @@ whose core bands do not overlap can run concurrently regardless of their
 vertical order.  The resulting precedence is reduced to direct
 dependencies and emitted as a make-syntax script, one phony target per
 job.
+
+:func:`step_graph` finds the direct dependencies in one bottom-up sweep
+over core columns, which is already a topological order, and reduces as
+it goes.  The transitive reduction of a DAG is unique, so this gives the
+graph that :func:`transitive_reduction` makes of :func:`beneath_relation`;
+those two stay as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -24,18 +30,21 @@ class StepGraph:
 
     Edges point from prerequisite to dependent.  Guaranteed acyclic:
     every edge strictly increases the dependent's bottom edge.  The
-    sorted predecessor lists are built once, at construction.
+    sorted predecessor lists are built once, at construction, from the
+    edges unless the builder passes them as ``_preds`` (each node with a
+    predecessor keyed to its sorted list, the same lists the edges give).
     """
 
     nodes: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
-    _preds: dict[str, list[str]] = field(init=False, repr=False, compare=False)
+    _preds: dict[str, list[str]] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        preds: dict[str, list[str]] = {}
-        for pre, post in sorted(self.edges):
-            preds.setdefault(post, []).append(pre)
-        object.__setattr__(self, "_preds", preds)
+        if self._preds is None:
+            preds: dict[str, list[str]] = {}
+            for pre, post in sorted(self.edges):
+                preds.setdefault(post, []).append(pre)
+            object.__setattr__(self, "_preds", preds)
 
     def predecessors(self, node: str) -> list[str]:
         return list(self._preds.get(node, ()))
@@ -106,27 +115,55 @@ def transitive_reduction(nodes: Iterable[str], relation: Relation) -> StepGraph:
 
 
 def step_graph(members: Sequence[tuple[str, Placement]]) -> StepGraph:
-    """Reduced precedence of a packed bundle, by a sweep over core columns.
+    """Reduced precedence of a packed bundle, in one sweep over core columns.
 
-    The candidate edges are, for every core column, the pairs of
-    consecutive occupants by bottom edge: members are swept bottom-up and
-    each is linked to the member last seen on each of its cores.  Each
+    Members are swept bottom-up, so each one comes after every member
+    beneath it: the sweep order is a topological order.  A member's
+    candidates are the last members seen on each of its cores.  Every
     candidate lies in :func:`beneath_relation`, because members of one
-    bin do not overlap, and each direct edge of that relation is a
+    bin do not overlap, and every direct edge of that relation joins a
     candidate: a member between the two in a shared column would give a
-    longer path.  So both have the same closure, and the transitive
-    reduction of a DAG is unique (Aho, Garey & Ullman 1972), so reducing
-    the candidates gives the same graph as reducing the full relation.
+    longer path.  So the candidates have the relation's closure, and
+    each swept member keeps its ancestors as an int bitset over sweep
+    positions: the candidates and their ancestors.  A candidate is a
+    direct predecessor iff no other candidate descends from it, that is,
+    iff it is in no candidate's ancestor set.  The transitive reduction of
+    a DAG is unique (Aho, Garey & Ullman 1972), so this gives the graph
+    that :func:`transitive_reduction` makes of the full relation.
     """
-    below: dict[int, str] = {}  # core -> latest member swept that covers it
-    relation: Relation = set()
-    for job_id, p in sorted(members, key=_bottom):
-        for core in range(p.x, p.x + p.rect.cores):
-            pre = below.get(core)
-            if pre is not None:
-                relation.add((pre, job_id))
-            below[core] = job_id
-    return transitive_reduction((job_id for job_id, _ in members), relation)
+    order = sorted(members, key=_bottom)
+    ids: list[str] = []  # sweep position -> job id
+    width = 0
+    for job_id, p in order:  # plain loops: a comprehension is a call of its own before Python 3.12
+        ids.append(job_id)
+        right = p.x + p.rect.cores
+        if right > width:
+            width = right
+    below = [-1] * width  # core -> sweep position of the latest member covering it
+    ancestors: list[int] = []  # sweep position -> bitset of the positions beneath it
+    preds: dict[str, list[str]] = {}
+    edges: list[tuple[str, str]] = []
+    for pos, (job_id, (x, _, rect)) in enumerate(order):
+        right = x + rect.cores
+        candidates = set(below[x:right])
+        candidates.discard(-1)
+        reach = 0
+        for c in candidates:
+            reach |= ancestors[c]
+        direct = []
+        for c in candidates:  # adding c's own bit never sets another candidate's
+            if not reach >> c & 1:
+                direct.append(ids[c])
+            reach |= 1 << c
+        ancestors.append(reach)
+        below[x:right] = [pos] * rect.cores
+        if direct:
+            direct.sort()
+            preds[job_id] = direct
+            for pre in direct:
+                edges.append((pre, job_id))
+    ids.sort()
+    return StepGraph(tuple(ids), frozenset(edges), preds)
 
 
 def _bottom(member: tuple[str, Placement]) -> int:

@@ -3,6 +3,7 @@
 import pytest
 
 from hpcbundle.cli import main
+from hpcbundle.metrics import JOBS_COLUMNS
 
 SITES = """\
 [sim]
@@ -229,6 +230,9 @@ class TestReport:
         assert not any(line.startswith(BUNDLE_LEVEL) for line in out.splitlines())
 
 
+NOT_MINUTES = "turnaround_minutes: expected a non-negative integer"
+
+
 class TestErrors:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         rc = main(["pack", "--sites", str(tmp_path / "nope.txt"),
@@ -311,6 +315,23 @@ class TestErrors:
         assert rc == 2
         assert "error: line 3: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("row, message", [
+        ("J9,T9,M1,completed,1,0", "wrong number of fields"),
+        ("J9,T9,M1,completed,1,0,30,7", "wrong number of fields"),
+        ("J9,T9,M1,completed,1,0,x", f"{NOT_MINUTES}, got 'x'"),
+        ("J9,T9,M1,errored,1,0,-40", f"{NOT_MINUTES}, got '-40'"),
+        ("J9,T9,M1,compleeted,1,0,30", "state: unknown word 'compleeted'"),
+        ("J9,T9,M1,completed,1,0,", "turnaround_minutes: '' for a completed job"),
+        ("J9,T9,M1,bound,1,0,30", "turnaround_minutes: '30' for a bound job"),
+    ], ids=["short", "long", "turnaround", "negative", "state", "terminal-without", "live-with"])
+    def test_malformed_report_row_exits_2_with_its_file_and_line(self, tmp_path, capsys,
+                                                                 row, message):
+        table = tmp_path / "jobs.csv"
+        table.write_text("\n".join([",".join(JOBS_COLUMNS), "J1,T1,M1,completed,1,0,30",
+                                     row, "J2,T2,M1,running,1,0,"]) + "\n")
+        assert main(["report", str(table)]) == 2
+        assert f"error: {table}: line 3: {message}\n" == capsys.readouterr().err
 
     @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
     def test_non_utf8_byte_in_report_table_exits_2_with_its_file_and_line(

@@ -114,7 +114,13 @@ class TestTransitiveReduction:
             if g + 1 < groups:
                 expected |= {(f"g{g:04d}1", f"g{g + 1:04d}0"),
                              (f"g{g:04d}2", f"g{g + 1:04d}0")}
-        assert step_graph(members).edges == expected
+        graph = step_graph(members)
+        assert graph.edges == expected
+        preds = {}
+        for pre, post in sorted(graph.edges):
+            preds.setdefault(post, []).append(pre)
+        for node in graph.nodes:
+            assert graph.predecessors(node) == preds.get(node, [])
 
     def test_cyclic_relation_rejected(self):
         with pytest.raises(ValueError, match="cycle"):

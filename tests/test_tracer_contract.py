@@ -13,7 +13,7 @@ from pathlib import Path
 
 from test_golden import CRITERION_11_SITES, criterion_11_workload
 
-from hpcbundle import Simulation, parse_policy, parse_sites_text, parse_workload_text
+from hpcbundle import Simulation, parse_policy, parse_sites_text, parse_workload_text, stepgraph
 from hpcbundle.packing import PackingBin
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
@@ -40,17 +40,20 @@ def criterion_11_simulation() -> Simulation:
 def test_tracer_wraps_and_restores_the_program():
     tracing = load_bench_module("tracer")
     original_insert = vars(PackingBin)["insert"]
+    original_reduction = vars(stepgraph)["transitive_reduction"]
     tracer = tracing.Tracer()
     tracing.install(tracer)
     try:
+        # A run never calls the reduction, so no span can show that it was wrapped.
+        assert vars(stepgraph)["transitive_reduction"] is not original_reduction
         criterion_11_simulation().run()
     finally:
         tracer.restore()
     names = {span[0] for span in tracer.spans}
-    assert {"packing.insert", "stepgraph.step_graph", "stepgraph.transitive_reduction",
-            "simcluster.schedule_steps"} <= names
+    assert {"packing.insert", "stepgraph.step_graph", "simcluster.schedule_steps"} <= names
     assert tracer.counts["free_rects"] > 0
     assert vars(PackingBin)["insert"] is original_insert
+    assert vars(stepgraph)["transitive_reduction"] is original_reduction
 
 
 def test_verify_reads_a_finished_run():
